@@ -15,14 +15,18 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <thread>
 
 #include "core/rng.h"
+#include "data/priors.h"
+#include "data/synthetic.h"
 #include "fo/factory.h"
 #include "obs/metrics.h"
 #include "serve/collector.h"
 #include "serve/loadgen.h"
 #include "serve/longitudinal.h"
+#include "serve/multidim_collector.h"
 #include "serve/server.h"
 
 namespace {
@@ -254,6 +258,57 @@ void BM_ServeEncode(benchmark::State& state, fo::Protocol protocol) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
+// Multidimensional tuple ingest: one lane, ACS-Employment-like records
+// (d = 18, ~10k tuples); items_per_second counts tuples. The kinds cover
+// each field layout: per-attribute GRR fields at bit offsets (SPL), one
+// sampled field behind an attribute index (SMP), the GRR fake-data tuple
+// and the paper's RS+RFD[OUE-r] unary-encoded tuple.
+template <typename Solution, typename Encode>
+void RunMultidimIngest(benchmark::State& state, const Solution& solution,
+                       const data::Dataset& dataset, Encode encode) {
+  Rng root(5);
+  const serve::EncodedFrames frames =
+      encode(solution, dataset, root, sim::Options{.threads = 1});
+  serve::MultidimCollector collector(solution,
+                                     serve::CollectorOptions{.lanes = 1});
+  const long long n = frames.count();
+  for (auto _ : state) {
+    for (long long i = 0; i < n; ++i) {
+      benchmark::DoNotOptimize(collector.Ingest(
+          serve::IngestRequest{{frames.frame(i), frames.frame_size(i)}}));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  if (collector.Seal().n != state.iterations() * n) {
+    state.SkipWithError("tuples rejected");
+  }
+}
+
+void BM_MultidimIngest(benchmark::State& state, const std::string& kind) {
+  const data::Dataset dataset = data::AcsEmploymentLike(3);
+  const std::vector<int>& ks = dataset.domain_sizes();
+  if (kind == "spl_grr") {
+    RunMultidimIngest(state, multidim::Spl(fo::Protocol::kGrr, ks, 1.0),
+                      dataset, serve::EncodeSplLoad);
+  } else if (kind == "smp_grr") {
+    RunMultidimIngest(state, multidim::Smp(fo::Protocol::kGrr, ks, 1.0),
+                      dataset, serve::EncodeSmpLoad);
+  } else if (kind == "rsfd_grr") {
+    RunMultidimIngest(state, multidim::RsFd(multidim::RsFdVariant::kGrr, ks,
+                                            1.0),
+                      dataset, serve::EncodeRsFdLoad);
+  } else {
+    Rng prior_rng(7);
+    RunMultidimIngest(
+        state,
+        multidim::RsRfd(multidim::RsRfdVariant::kOueR, ks, 1.0,
+                        data::BuildPriors(dataset,
+                                          data::PriorKind::kCorrectLaplace,
+                                          prior_rng)),
+        dataset, serve::EncodeRsRfdLoad);
+  }
+}
+
 }  // namespace
 
 // The acceptance pair at full width: GRR and OUE, k = 100, n = 1M.
@@ -316,6 +371,15 @@ BENCHMARK_CAPTURE(BM_ServeSocketIngest, grr_obs, fo::Protocol::kGrr, true)
     ->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK_CAPTURE(BM_ServeSocketIngest, oue_obs, fo::Protocol::kOue, true)
     ->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+BENCHMARK_CAPTURE(BM_MultidimIngest, spl_grr, std::string("spl_grr"))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MultidimIngest, smp_grr, std::string("smp_grr"))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MultidimIngest, rsfd_grr, std::string("rsfd_grr"))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MultidimIngest, rsrfd_oue_r, std::string("rsrfd_oue_r"))
+    ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_CAPTURE(BM_ServeEncode, grr, fo::Protocol::kGrr)->Arg(1 << 18)
     ->Unit(benchmark::kMillisecond);

@@ -6,10 +6,9 @@
 // Every figure / ablation / framework study of the paper registers an
 // ExperimentSpec (src/exp/scenarios/*.cc): a name, a description, the
 // datasets it touches, and a run callback that emits results through the
-// Context's pluggable writers. The bench binaries, the `ldpr_cli experiment`
-// subcommand, and the exp_smoke/golden test suites are all thin shells over
-// this registry — adding a new workload is one ~30-line registration
-// translation unit, not a new 150-line driver binary.
+// Context's pluggable writers. The `ldpr_cli experiment` subcommand and
+// the exp_smoke/golden test suites are thin shells over this registry —
+// adding a new workload is one ~30-line registration translation unit.
 
 #include <cstdint>
 #include <functional>
@@ -92,12 +91,6 @@ bool GlobMatch(const std::string& pattern, const std::string& text);
 /// Runs one experiment: emits through `out`, then Finish()es it.
 void RunExperiment(const ExperimentSpec& spec, Emitter& out,
                    const RunProfile& profile);
-
-/// Entry point of the thin bench driver binaries: looks up `name`, builds a
-/// FromEnv profile (Smoke when LDPR_SMOKE is set), writes CSV to stdout and
-/// — when LDPR_JSON_OUT names a file — a JSON document alongside. Returns a
-/// process exit code.
-int RunExperimentMain(const std::string& name);
 
 }  // namespace ldpr::exp
 

@@ -15,7 +15,7 @@
 //   LDPR_GBDT_ROUNDS     AIF attack GBDT boosting rounds       (default 8)
 //   LDPR_GBDT_DEPTH      AIF attack GBDT tree depth            (default 4)
 //   LDPR_FIG01_TRIALS    fig01 panel (c) Monte-Carlo trials    (default 20000)
-//   LDPR_SMOKE           when set, every driver runs the smoke preset
+//   LDPR_SMOKE           when set, every experiment runs the smoke preset
 //   LDPR_PROFILE         fidelity/scale preset: "legacy" (default),
 //                        "fast" (closed-form estimation paths; new RNG
 //                        streams, separately pinned goldens), or "smoke"

@@ -1,5 +1,7 @@
 #include "fo/frequency_oracle.h"
 
+#include <algorithm>
+
 #include "core/check.h"
 #include "fo/bitslice.h"
 #include "fo/wire.h"
@@ -192,6 +194,12 @@ void Aggregator::Merge(const Aggregator& other) {
     counts_[v] += other.counts_[v];
   }
   n_ += other.n_;
+}
+
+void Aggregator::Reset() {
+  std::fill(counts_.begin(), counts_.end(), 0);
+  n_ = 0;
+  staged_rows_ = 0;
 }
 
 std::vector<double> Aggregator::Estimate() const {

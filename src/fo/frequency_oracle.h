@@ -190,9 +190,11 @@ class Aggregator {
   /// serving layer's bitsliced hot path. `frames` points at `count` rows of
   /// `stride` bytes; each row begins with one exact SerializeReport image
   /// (WireDecoder::Validate-accepted) and the caller must guarantee
-  ///   - stride >= bitslice::RowStride(frame size) with zero padding bytes,
+  ///   - stride >= bitslice::RowStride(frame size) (the bytes after an
+  ///     image are never counted: kernels mask them off),
   ///   - bitslice::kRowTailSlack readable bytes after the last row
-  /// (serve::Collector's staging buffers are laid out exactly like this).
+  /// (serve::Collector's staging blocks are laid out exactly like this,
+  /// several columns' images side by side in one row).
   /// Produces bit-identical counts()/n() to `count` scalar
   /// WireDecoder::DecodeInto calls — the base implementation *is* that
   /// scalar loop, and protocol overrides (UE bit-column slicing, batched
@@ -203,6 +205,11 @@ class Aggregator {
 
   /// Folds another aggregator of the same protocol/domain into this one.
   void Merge(const Aggregator& other);
+
+  /// Empties the aggregator in place — counts, n and any staged rows — so
+  /// it reads like a fresh MakeAggregator() result while keeping its
+  /// buffers (serve::Collector resets its lanes this way at every seal).
+  void Reset();
 
   /// Unbiased Eq. (2) estimate over everything accumulated so far.
   std::vector<double> Estimate() const;

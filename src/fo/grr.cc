@@ -47,6 +47,8 @@ namespace {
 
 class GrrAggregator : public Aggregator {
  public:
+  static constexpr int kSplitDomain = 16;
+
   using Aggregator::Aggregator;
 
   void AccumulateValue(int value, Rng& rng) override {
@@ -67,10 +69,27 @@ class GrrAggregator : public Aggregator {
                            int count) override {
     // One big-endian word load per frame: the value is the top
     // ceil(log2 k) bits (validation already guaranteed value < k).
-    const int width = CeilLog2(oracle_.k());
+    const int k = oracle_.k();
+    const int shift = 64 - CeilLog2(k);
     const std::uint8_t* row = frames;
-    for (int r = 0; r < count; ++r, row += stride) {
-      ++counts_[static_cast<int>(bitslice::Load64Be(row) >> (64 - width))];
+    int r = 0;
+    if (k <= kSplitDomain) {
+      // Small domains repeat values row after row, and back-to-back
+      // increments of one counter serialize on store forwarding; four
+      // interleaved partial tallies keep four chains in flight.
+      std::uint32_t part[4][kSplitDomain] = {};
+      for (; r + 4 <= count; r += 4, row += 4 * stride) {
+        ++part[0][bitslice::Load64Be(row) >> shift];
+        ++part[1][bitslice::Load64Be(row + stride) >> shift];
+        ++part[2][bitslice::Load64Be(row + 2 * stride) >> shift];
+        ++part[3][bitslice::Load64Be(row + 3 * stride) >> shift];
+      }
+      for (int v = 0; v < k; ++v) {
+        counts_[v] += part[0][v] + part[1][v] + part[2][v] + part[3][v];
+      }
+    }
+    for (; r < count; ++r, row += stride) {
+      ++counts_[static_cast<int>(bitslice::Load64Be(row) >> shift)];
     }
     n_ += count;
   }

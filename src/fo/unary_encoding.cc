@@ -102,8 +102,8 @@ class UeAggregator : public Aggregator {
   void AccumulateWireBlock(const std::uint8_t* frames, std::size_t stride,
                            int count) override {
     // Bitsliced column sums. The staged rows are one UE bit vector each
-    // (k MSB-first bits, zero-padded to a whole number of 64-bit words), so
-    // each 64-bit word column is summed vertically with eight SWAR byte
+    // (k MSB-first bits, read as whole 64-bit words; lanes past k are
+    // dropped below), so each 64-bit word column is summed vertically with eight SWAR byte
     // counters: acc[j] byte lane b counts the rows whose word bit 8b + j is
     // set, i.e. wire column 64*word + 8*b + (7 - j). One load plus 24 ALU
     // ops covers 64 columns of a report — versus 64 branchy scratch-vector

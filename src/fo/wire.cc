@@ -142,17 +142,9 @@ void AppendReport(const FrequencyOracle& oracle, const Report& report,
 
 Report DeserializeReport(const FrequencyOracle& oracle,
                          std::span<const std::uint8_t> bytes) {
+  const int k = oracle.k();
   BitReader reader(bytes);
   Report report;
-  ReadReportInto(oracle, &reader, &report);
-  return report;
-}
-
-void ReadReportInto(const FrequencyOracle& oracle, BitReader* reader_ptr,
-                    Report* report_ptr) {
-  const int k = oracle.k();
-  BitReader& reader = *reader_ptr;
-  Report& report = *report_ptr;
   switch (oracle.protocol()) {
     case Protocol::kGrr: {
       report.value = static_cast<int>(reader.Read(CeilLog2(k)));
@@ -169,7 +161,6 @@ void ReadReportInto(const FrequencyOracle& oracle, BitReader* reader_ptr,
     case Protocol::kSs: {
       const int omega = static_cast<const Ss&>(oracle).omega();
       const int width = CeilLog2(k);
-      report.subset.clear();
       report.subset.reserve(omega);
       int previous = -1;
       for (int i = 0; i < omega; ++i) {
@@ -190,6 +181,7 @@ void ReadReportInto(const FrequencyOracle& oracle, BitReader* reader_ptr,
       break;
     }
   }
+  return report;
 }
 
 WireDecoder::WireDecoder(const FrequencyOracle& oracle)
@@ -207,27 +199,40 @@ WireDecoder::WireDecoder(const FrequencyOracle& oracle)
     case Protocol::kSs:
       omega_ = static_cast<const Ss&>(oracle).omega();
       value_width_ = CeilLog2(k_);
-      scratch_.subset.resize(omega_);
       validate_scratch_.resize(report_bytes_ + bitslice::kRowTailSlack, 0);
       ss_validator_ = bitslice::PackedFieldValidator(omega_, value_width_, k_);
       break;
     case Protocol::kSue:
     case Protocol::kOue:
-      scratch_.bits.resize(k_);
       break;
   }
 }
 
 bool WireDecoder::DecodeInto(std::span<const std::uint8_t> buffer,
                              Aggregator& agg) {
-  if (!ExactWireSize(buffer, report_bits_)) return false;
-  int bit_offset = 0;
-  if (!DecodeField(buffer.data(), &bit_offset)) return false;
+  if (!ExactWireSize(buffer, report_bits_) || !DecodeScratch(buffer)) {
+    return false;
+  }
   agg.Accumulate(scratch_);
   return true;
 }
 
 namespace {
+
+// Copies the `bits`-bit field at bit `bit_offset` of `src` (readable one
+// byte past the field) to the start of `dst`, realigned to bit 0 with the
+// final byte's padding zeroed.
+void CopyBits(const std::uint8_t* src, int bit_offset, int bits,
+              std::uint8_t* dst) {
+  const int bytes = (bits + 7) / 8;
+  const std::uint8_t* p = src + (bit_offset >> 3);
+  const int shift = bit_offset & 7;
+  for (int i = 0; i < bytes; ++i) {
+    dst[i] = static_cast<std::uint8_t>((p[i] << shift) |
+                                       (p[i + 1] >> (8 - shift)));
+  }
+  dst[bytes - 1] &= static_cast<std::uint8_t>(0xFFu << (bytes * 8 - bits));
+}
 
 // Big-endian integer of bytes [first, size): since the wire packs fields
 // MSB-first and ExactWireSize guarantees zero padding, a single trailing
@@ -273,26 +278,43 @@ bool WireDecoder::Validate(std::span<const std::uint8_t> buffer) {
   return false;
 }
 
-bool WireDecoder::DecodeField(const std::uint8_t* data, int* bit_offset) {
-  BitCursor cursor{data, *bit_offset};
+bool WireDecoder::StagePackedField(const std::uint8_t* data, int bit_offset,
+                                   std::uint8_t* row) {
+  // Copy the field's bits, then check the image in place (the staging
+  // row's slack covers the word loads).
+  CopyBits(data, bit_offset, report_bits_, row);
+  switch (protocol_) {
+    case Protocol::kOlh:  // any 64-bit seed; the hashed value must be < g
+      return bitslice::ExtractBits(row, 64, value_width_) <
+             static_cast<std::uint64_t>(g_);
+    case Protocol::kSs:
+      return ss_validator_.Validate(row);
+    default:  // UE: any bit pattern (GRR stages inline in StageField)
+      return true;
+  }
+}
+
+bool WireDecoder::DecodeScratch(std::span<const std::uint8_t> buffer) {
+  BitReader reader(buffer);
   switch (protocol_) {
     case Protocol::kGrr: {
-      const int value = static_cast<int>(cursor.Read(value_width_));
+      const int value = static_cast<int>(reader.Read(value_width_));
       if (value >= k_) return false;
       scratch_.value = value;
       break;
     }
     case Protocol::kOlh: {
-      scratch_.hash_seed = cursor.Read(64);
-      const int value = static_cast<int>(cursor.Read(value_width_));
+      scratch_.hash_seed = reader.Read(64);
+      const int value = static_cast<int>(reader.Read(value_width_));
       if (value >= g_) return false;
       scratch_.value = value;
       break;
     }
     case Protocol::kSs: {
+      scratch_.subset.resize(omega_);
       int previous = -1;
       for (int i = 0; i < omega_; ++i) {
-        const int v = static_cast<int>(cursor.Read(value_width_));
+        const int v = static_cast<int>(reader.Read(value_width_));
         if (v >= k_ || v <= previous) return false;
         scratch_.subset[i] = v;
         previous = v;
@@ -300,26 +322,15 @@ bool WireDecoder::DecodeField(const std::uint8_t* data, int* bit_offset) {
       break;
     }
     case Protocol::kSue:
-    case Protocol::kOue: {
-      // Any bit pattern of the right width is a valid UE report. Byte-wise
-      // unpack on the aligned fast path (whole buffers always are); generic
-      // cursor reads when packed mid-tuple.
-      if ((cursor.position & 7) == 0) {
-        const std::uint8_t* base = data + (cursor.position >> 3);
-        for (int i = 0; i < k_; ++i) {
-          scratch_.bits[i] =
-              static_cast<std::uint8_t>((base[i >> 3] >> (7 - (i & 7))) & 1);
-        }
-        cursor.position += k_;
-      } else {
-        for (int i = 0; i < k_; ++i) {
-          scratch_.bits[i] = static_cast<std::uint8_t>(cursor.Read(1));
-        }
+    case Protocol::kOue:
+      // Any bit pattern of the right width is a valid UE report.
+      scratch_.bits.resize(k_);
+      for (int i = 0; i < k_; ++i) {
+        scratch_.bits[i] =
+            static_cast<std::uint8_t>((buffer[i >> 3] >> (7 - (i & 7))) & 1);
       }
       break;
-    }
   }
-  *bit_offset = cursor.position;
   return true;
 }
 

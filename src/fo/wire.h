@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -77,12 +78,6 @@ std::vector<std::uint8_t> SerializeReport(const FrequencyOracle& oracle,
 void AppendReport(const FrequencyOracle& oracle, const Report& report,
                   BitWriter* writer);
 
-/// Reads one report's payload from `reader` (the inverse of AppendReport).
-/// Throws on exhausted buffers or malformed payloads. `report` is reused:
-/// its vectors are resized, not reallocated, when capacity suffices.
-void ReadReportInto(const FrequencyOracle& oracle, BitReader* reader,
-                    Report* report);
-
 /// Exact payload width in bits for one of `oracle`'s reports (the value the
 /// comm-cost model prices; byte buffers round up to the next multiple of 8).
 int SerializedReportBits(const FrequencyOracle& oracle);
@@ -90,36 +85,6 @@ int SerializedReportBits(const FrequencyOracle& oracle);
 /// Bits needed to address n distinct values (0 for n = 1). Shared by the
 /// codec and the multidimensional tuple formats built on it.
 int CeilLog2(long long n);
-
-/// Unchecked MSB-first bit cursor for pre-validated buffers: the decode hot
-/// paths (WireDecoder, serve/multidim_collector) check a buffer's length
-/// once via ExactWireSize and then read fields without per-bit bounds
-/// checks. Never point one at a buffer that has not been length-checked.
-struct BitCursor {
-  const std::uint8_t* data;
-  int position = 0;
-
-  std::uint64_t Read(int width) {
-    // Wide fields (the OLH 64-bit seed, possibly mid-tuple and so not
-    // byte-aligned) exceed what one word accumulation can hold once the
-    // intra-byte offset is added; split them.
-    if (width > 56) {
-      const std::uint64_t high = Read(width - 32);
-      return (high << 32) | Read(32);
-    }
-    // Byte-at-a-time MSB-first accumulation: ceil(width/8) + 1 iterations
-    // instead of one per bit.
-    const std::uint8_t* p = data + (position >> 3);
-    int have = 8 - (position & 7);
-    std::uint64_t value = *p & ((std::uint64_t{1} << have) - 1);
-    while (have < width) {
-      value = (value << 8) | *++p;
-      have += 8;
-    }
-    position += width;
-    return have == width ? value : value >> (have - width);
-  }
-};
 
 /// The strict acceptance rule every ingest surface shares: the buffer is
 /// exactly `bits` rounded up to whole bytes AND the final byte's padding
@@ -131,12 +96,13 @@ bool ExactWireSize(std::span<const std::uint8_t> buffer, int bits);
 Report DeserializeReport(const FrequencyOracle& oracle,
                          std::span<const std::uint8_t> bytes);
 
-/// Streaming decode-into-aggregator fast path — the serving layer's hot
-/// loop. Where DeserializeReport allocates a fresh Report and throws on
-/// malformed input, a WireDecoder validates the whole buffer up front,
-/// decodes into one reused scratch Report, and folds the support straight
-/// into an Aggregator: no heap traffic and no exceptions on the ingest path,
-/// at millions of reports per second per core.
+/// The serving layer's codec checks. Where DeserializeReport allocates a
+/// fresh Report and throws on malformed input, a WireDecoder accepts or
+/// rejects without heap traffic or exceptions: Validate checks a whole
+/// frame and StageField one field of a packed tuple (copying its image into
+/// a staging row), both deferring decode work to the block kernels
+/// (fo::Aggregator::AccumulateWireBlock); DecodeInto is the scalar
+/// decode-and-accumulate reference those kernels are pinned against.
 ///
 /// Acceptance is strict — stricter than DeserializeReport: the buffer must
 /// be exactly the report's width rounded up to whole bytes, the zero-padding
@@ -163,19 +129,33 @@ class WireDecoder {
   /// past the caller's buffer.
   bool Validate(std::span<const std::uint8_t> buffer);
 
-  /// Field-level half of DecodeInto for packed multidimensional tuples
-  /// (serve/multidim_collector): decodes one report starting at bit
-  /// `*bit_offset` of `data` into the internal scratch and advances the
-  /// offset. The caller must already have validated that the buffer extends
-  /// at least report_bits() past the offset; only field *values* are checked
-  /// here. Returns false on an out-of-range / non-increasing field, in which
-  /// case the caller drops the whole tuple (nothing was accumulated).
-  bool DecodeField(const std::uint8_t* data, int* bit_offset);
-
-  /// Accumulates the report last decoded by a successful DecodeField.
-  /// Splitting decode from accumulate lets a tuple decoder validate every
-  /// attribute before mutating any aggregator (all-or-nothing ingest).
-  void AccumulateScratch(Aggregator& agg) const { agg.Accumulate(scratch_); }
+  /// Field-level Validate + stage for packed multidimensional tuples
+  /// (serve::Collector::IngestTuple): checks the report packed at bit
+  /// `bit_offset` of `data` and stores its exact SerializeReport image at
+  /// the start of `row`, zero padding after it within the image's last
+  /// byte. `data` must hold the field plus bitslice::kRowTailSlack readable
+  /// bytes past it (a padded copy of the tuple: GRR fields are read as one
+  /// word), and `row` must be a staging row with kRowTailSlack writable
+  /// bytes past the image (a GRR image is stored as one word) — so stage a
+  /// row's fields in order. Same accept set as Validate on the extracted
+  /// image; on a reject `row` holds garbage the caller must not commit.
+  bool StageField(const std::uint8_t* data, int bit_offset,
+                  std::uint8_t* row) {
+    if (protocol_ != Protocol::kGrr) {
+      return StagePackedField(data, bit_offset, row);
+    }
+    // GRR, the common per-attribute field, inline: one word load, one range
+    // check and the image stored as one word.
+    const std::uint64_t top = bitslice::Load64Be(data + (bit_offset >> 3))
+                              << (bit_offset & 7);
+    if ((top >> (64 - value_width_)) >= static_cast<std::uint64_t>(k_)) {
+      return false;
+    }
+    const std::uint64_t image =
+        __builtin_bswap64(top & (~std::uint64_t{0} << (64 - value_width_)));
+    std::memcpy(row, &image, sizeof(image));
+    return true;
+  }
 
   /// The exact buffer size DecodeInto accepts.
   std::size_t report_bytes() const { return report_bytes_; }
@@ -183,6 +163,13 @@ class WireDecoder {
   int report_bits() const { return report_bits_; }
 
  private:
+  /// StageField for the OLH, SS and UE images.
+  bool StagePackedField(const std::uint8_t* data, int bit_offset,
+                        std::uint8_t* row);
+  /// Decodes a length-checked buffer into scratch_, checking field values
+  /// (DecodeInto's half after ExactWireSize).
+  bool DecodeScratch(std::span<const std::uint8_t> buffer);
+
   const Protocol protocol_;
   const int k_;
   int value_width_ = 0;  ///< GRR/SS value width; OLH hashed-value width
@@ -190,7 +177,7 @@ class WireDecoder {
   int g_ = 0;            ///< OLH reduced domain
   int report_bits_ = 0;
   std::size_t report_bytes_ = 0;
-  Report scratch_;
+  Report scratch_;  ///< DecodeInto's report, sized on first use
   /// SS validation scratch: frame bytes + bitslice::kRowTailSlack, so
   /// whole-word field extraction stays in bounds.
   std::vector<std::uint8_t> validate_scratch_;

@@ -1,27 +1,54 @@
 #include "serve/collector.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "core/check.h"
 #include "core/parallel.h"
 #include "fo/bitslice.h"
 
 namespace ldpr::serve {
 
+Collector::Block::Block(
+    const std::vector<const fo::FrequencyOracle*>& oracles) {
+  columns.reserve(oracles.size());
+  // Images sit back to back; every kernel reads a row's image (plus at
+  // most 7 masked-off bytes past a field) from its slot onwards.
+  for (const fo::FrequencyOracle* oracle : oracles) {
+    columns.push_back(
+        {stride, fo::WireDecoder(*oracle), oracle->MakeAggregator()});
+    stride += columns.back().decoder.report_bytes();
+  }
+  stride = fo::bitslice::RowStride(stride);
+  staging.assign(static_cast<std::size_t>(fo::bitslice::kBlockRows) * stride +
+                     fo::bitslice::kRowTailSlack,
+                 0);
+}
+
+Collector::Lane::Lane(
+    const std::vector<std::vector<const fo::FrequencyOracle*>>& oracles,
+    int index)
+    : index(index) {
+  blocks.reserve(oracles.size());
+  for (const auto& block_oracles : oracles) blocks.emplace_back(block_oracles);
+}
+
 Collector::Collector(const fo::FrequencyOracle& oracle,
                      const CollectorOptions& options)
-    : oracle_(oracle), options_(options) {
+    : Collector(std::vector<std::vector<const fo::FrequencyOracle*>>{{&oracle}},
+                options) {}
+
+Collector::Collector(
+    const std::vector<std::vector<const fo::FrequencyOracle*>>& blocks,
+    const CollectorOptions& options)
+    : oracle_(*blocks.at(0).at(0)),
+      options_(options),
+      report_bytes_(fo::WireDecoder(oracle_).report_bytes()) {
+  for (const auto& oracles : blocks) {
+    LDPR_CHECK(!oracles.empty(), "every staging block needs a column");
+  }
   int lanes = options.lanes > 0 ? options.lanes : DefaultThreadCount();
   LDPR_CHECK(lanes >= 1, "collector needs at least one lane");
-  report_bytes_ = fo::WireDecoder(oracle).report_bytes();
-  stage_stride_ = fo::bitslice::RowStride(report_bytes_);
-  const std::size_t staging_bytes =
-      static_cast<std::size_t>(fo::bitslice::kBlockRows) * stage_stride_ +
-      fo::bitslice::kRowTailSlack;
   lanes_.reserve(lanes);
   for (int i = 0; i < lanes; ++i) {
-    lanes_.push_back(std::make_unique<Lane>(oracle, staging_bytes, i));
+    lanes_.push_back(std::make_unique<Lane>(blocks, i));
   }
   if (options.metrics) {
     obs_ = std::make_unique<Obs>();
@@ -66,17 +93,45 @@ IngestResult Collector::Ingest(const IngestRequest& request) {
                      [](const IngestRequest&) { return RejectReason::kNone; });
 }
 
-void Collector::FlushLocked(Lane& lane) {
-  if (lane.staged == 0) return;
+IngestResult Collector::IngestTuple(const IngestRequest& request,
+                                    Fields fields) {
+  Lane& lane = LaneFor(request.lane);
+  std::lock_guard<std::mutex> guard(lane.mutex);
+  if (fields.block < 0) return Reject(lane, RejectReason::kMalformed);
+  Block& block = lane.blocks[static_cast<std::size_t>(fields.block)];
+  // Check and copy every field before committing the row: a rejected
+  // tuple leaves only an uncommitted row, which the next tuple overwrites.
+  const std::size_t size = request.frame.size();
+  if (lane.tuple.size() < size + fo::bitslice::kRowTailSlack) {
+    lane.tuple.resize(size + fo::bitslice::kRowTailSlack);
+  }
+  std::memcpy(lane.tuple.data(), request.frame.data(), size);
+  std::uint8_t* const row = block.row();
+  int offset = fields.bit_offset;
+  for (Column& column : block.columns) {
+    if (!column.decoder.StageField(lane.tuple.data(), offset,
+                                   row + column.offset)) {
+      return Reject(lane, RejectReason::kMalformed);
+    }
+    offset += column.decoder.report_bits();
+  }
+  Commit(lane, block);
+  return Accept(lane, request);
+}
+
+void Collector::FlushLocked(Lane& lane, Block& block) {
+  if (block.staged == 0) return;
   const double start = obs_ ? MonotonicSeconds() : 0.0;
-  lane.aggregator->AccumulateWireBlock(lane.staging.data(), stage_stride_,
-                                       lane.staged);
+  for (Column& column : block.columns) {
+    column.aggregator->AccumulateWireBlock(
+        block.staging.data() + column.offset, block.stride, block.staged);
+  }
   if (obs_) {
     obs_->decode_block_seconds->RecordSeconds(MonotonicSeconds() - start,
                                               lane.index);
-    obs_->decode_block_rows->Record(lane.staged, lane.index);
+    obs_->decode_block_rows->Record(block.staged, lane.index);
   }
-  lane.staged = 0;
+  block.staged = 0;
 }
 
 IngestCounters Collector::TotalsNow() const {
@@ -97,60 +152,52 @@ int Collector::staged(int lane_hint) const {
   const Lane& lane =
       *lanes_[static_cast<std::size_t>(lane_hint) % lanes_.size()];
   std::lock_guard<std::mutex> guard(lane.mutex);
-  return lane.staged;
+  return lane.blocks.front().staged;
 }
 
 void Collector::IngestHistogram(int lane_hint,
                                 const std::vector<long long>& histogram,
                                 Rng& rng) {
-  Lane& lane = *lanes_[static_cast<std::size_t>(lane_hint) % lanes_.size()];
+  Lane& lane = LaneFor(lane_hint);
   std::lock_guard<std::mutex> guard(lane.mutex);
-  const long long before = lane.aggregator->n();
-  lane.aggregator->AccumulateHistogram(histogram, rng);
-  const long long added = lane.aggregator->n() - before;
+  fo::Aggregator& aggregator = *lane.blocks.front().columns.front().aggregator;
+  const long long before = aggregator.n();
+  aggregator.AccumulateHistogram(histogram, rng);
+  const long long added = aggregator.n() - before;
   lane.tallies.reports += added;
   lane.tallies.bytes += added * static_cast<long long>(report_bytes_);
 }
 
 Collector::Drained Collector::Drain() {
-  const int lane_count = lanes();
-  const int k = oracle_.k();
+  // O(lanes * sum k) integer sums: bit-identical in any lane order.
   Drained out;
-  out.counts.assign(k, 0);
-  // The O(lanes * k) merge (plus each lane's final partial-block decode)
-  // fans over worker threads once it dwarfs a thread spawn; small seals
-  // stay single-threaded microsecond work. Each shard drains a disjoint
-  // lane range into its own partials, and both the per-shard lane loop and
-  // the shard-ordered reduction below are integer sums — bit-identical for
-  // any shard count, and therefore any LDPR_THREADS.
-  const int max_shards = std::min(lane_count, DefaultThreadCount());
-  const bool heavy =
-      static_cast<long long>(lane_count) * k >= (1LL << 15);
-  const int shards = (heavy && max_shards > 1) ? max_shards : 1;
-  std::vector<Drained> partial(shards);
-  ParallelForShards(
-      lane_count, shards,
-      [&](int shard, long long lo, long long hi) {
-        Drained& p = partial[shard];
-        p.counts.assign(k, 0);
-        for (long long li = lo; li < hi; ++li) {
-          Lane& lane = *lanes_[static_cast<std::size_t>(li)];
-          std::lock_guard<std::mutex> guard(lane.mutex);
-          FlushLocked(lane);  // partial blocks are decoded at seal time
-          const std::vector<long long>& counts = lane.aggregator->counts();
-          for (int v = 0; v < k; ++v) p.counts[v] += counts[v];
-          p.n += lane.aggregator->n();
-          p.tallies.Merge(lane.tallies);
-          lane.aggregator = oracle_.MakeAggregator();
-          lane.tallies = IngestCounters{};
-        }
-      },
-      shards);
-  for (int s = 0; s < shards; ++s) {
-    for (int v = 0; v < k; ++v) out.counts[v] += partial[s].counts[v];
-    out.n += partial[s].n;
-    out.tallies.Merge(partial[s].tallies);
+  for (const Block& block : lanes_.front()->blocks) {
+    for (const Column& column : block.columns) {
+      out.counts.resize(out.counts.size() + column.aggregator->oracle().k());
+      out.column_n.push_back(0);
+    }
   }
+  for (const auto& lane_ptr : lanes_) {
+    Lane& lane = *lane_ptr;
+    std::lock_guard<std::mutex> guard(lane.mutex);
+    long long* counts_out = out.counts.data();
+    long long* n_out = out.column_n.data();
+    for (Block& block : lane.blocks) {
+      FlushLocked(lane, block);  // partial blocks are decoded at seal time
+      for (Column& column : block.columns) {
+        const std::vector<long long>& counts = column.aggregator->counts();
+        for (std::size_t v = 0; v < counts.size(); ++v) {
+          counts_out[v] += counts[v];
+        }
+        counts_out += counts.size();
+        *n_out++ += column.aggregator->n();
+        column.aggregator->Reset();
+      }
+    }
+    out.tallies.Merge(lane.tallies);
+    lane.tallies = IngestCounters{};
+  }
+  out.n = out.tallies.reports;
   {
     // Draining resets the lanes, so fold the epoch's tallies into the
     // lifetime totals mid-run scrapes read (TotalsNow).

@@ -3,30 +3,28 @@
 
 // The streaming collection service's ingest core.
 //
-// The paper's deployment surface is a server continuously receiving
-// wire-encoded sanitized reports from millions of users. A Collector models
-// exactly that for one attribute: producers push raw report buffers into
-// lock-striped lanes, each lane owning its own fo::Aggregator,
-// fo::WireDecoder scratch and IngestCounters, so concurrent producers that
-// shard themselves over lanes never contend. Sealing an epoch merges the
-// lane aggregators (O(lanes * k), constant in the number of reports) into an
-// immutable EstimateSnapshot.
-//
-// Ingest is staged, not scalar: each lane validates an incoming buffer
-// (fo::WireDecoder::Validate — same accept set as the scalar decoder),
-// copies it into a fixed staging block of bitslice::kBlockRows padded rows,
-// and defers all decode work to fo::Aggregator::AccumulateWireBlock, which
-// the lane flushes when the block fills and again at Drain() (flush-on-seal)
-// — so a sealed epoch always covers every accepted report, wherever the
-// block boundary fell.
+// Producers push wire-encoded reports into lock-striped lanes, each with
+// its own mutex and IngestCounters, so producers sharded over lanes never
+// contend. Lanes stage *fields* into *columns*: a column is one codec (an
+// fo oracle with its per-lane fo::WireDecoder and fo::Aggregator), and
+// columns that take a field from every tuple share a staging block of
+// bitslice::kBlockRows rows holding their images side by side. A scalar
+// Collector is one block of one column: Ingest validates a frame
+// (WireDecoder::Validate) and memcpys it into the next row. A tuple
+// collector (serve::MultidimCollector) names a block and the bit offset of
+// the tuple's first field, and IngestTuple checks and copies every field
+// (WireDecoder::StageField) before it commits the row — all under one lane
+// mutex acquisition, so ingest is all-or-nothing and a seal never splits a
+// tuple. Decode work is deferred to fo::Aggregator::AccumulateWireBlock,
+// run per column when a block fills and at Drain() (flush-on-seal), which
+// sums the lanes in O(lanes * k) and resets them in place.
 //
 // Determinism: block kernels are pinned bit-identical to the scalar decode
 // path (fo_bitslice_exact_test) and merged support counts are integer sums,
-// so the sealed snapshot depends only on the multiset of accepted reports —
-// never on lane assignment, producer interleaving, LDPR_THREADS, or where
-// the flush boundaries fell (serve_collector_test pins this, and pins
-// snapshot estimates bit-identical to a batch fo::Aggregator fed the same
-// report stream).
+// so sealed counts depend only on the multiset of accepted reports — never
+// on lane assignment, producer interleaving, LDPR_THREADS or flush
+// boundaries (serve_collector_test and serve_multidim_test pin this against
+// batch aggregators fed the same reports).
 
 #include <cstddef>
 #include <cstdint>
@@ -95,19 +93,25 @@ struct EstimateSnapshot {
   privacy::LedgerReport cumulative_ledger;
 };
 
-/// Lock-striped ingest state for one frequency oracle. The oracle must
-/// outlive the collector.
+/// Lock-striped ingest state over one or more codec columns. The oracles
+/// must outlive the collector.
 class Collector final : public IngestSink {
  public:
+  /// A scalar collector: one block of one column, decoded by `oracle`.
   explicit Collector(const fo::FrequencyOracle& oracle,
                      const CollectorOptions& options = {});
+  /// A tuple collector: blocks[b] lists the column codecs of staging block
+  /// b, in the order a tuple packs their fields. Feed it with IngestTuple.
+  Collector(const std::vector<std::vector<const fo::FrequencyOracle*>>& blocks,
+            const CollectorOptions& options = {});
   ~Collector() override;
 
-  /// Validates one wire-encoded report into lane `request.lane % lanes()`
-  /// and stages it for that lane's aggregator. Thread-safe; producers that
-  /// use distinct lanes never contend. A malformed frame comes back
-  /// kMalformed (counted, nothing accumulated); the bare Collector imposes
-  /// no other admission rule, so request.user is accepted unclassified.
+  /// Validates one wire-encoded report — the whole frame is the field of
+  /// block 0's one column — into lane `request.lane % lanes()` and stages
+  /// it for that lane's aggregator. Thread-safe; producers that use
+  /// distinct lanes never contend. A malformed frame comes back kMalformed
+  /// (counted, nothing accumulated); the bare Collector imposes no other
+  /// admission rule, so request.user is accepted unclassified.
   IngestResult Ingest(const IngestRequest& request) override;
 
   /// Ingest with an admission gate: `gate(request)` runs under the lane
@@ -120,41 +124,52 @@ class Collector final : public IngestSink {
   /// (the mutex is held) and must order any locks of their own after it.
   template <typename Gate>
   IngestResult IngestGated(const IngestRequest& request, Gate&& gate) {
-    Lane& lane =
-        *lanes_[static_cast<std::size_t>(request.lane) % lanes_.size()];
+    Lane& lane = LaneFor(request.lane);
     std::lock_guard<std::mutex> guard(lane.mutex);
-    if (!lane.decoder.Validate(request.frame)) {
-      ++lane.tallies.rejected;
-      return IngestResult::Rejected(RejectReason::kMalformed);
+    Block& block = lane.blocks.front();
+    if (!block.columns.front().decoder.Validate(request.frame)) {
+      return Reject(lane, RejectReason::kMalformed);
     }
     const RejectReason verdict = gate(request);
-    if (verdict != RejectReason::kNone) {
-      CountReject(lane.tallies, verdict);
-      return IngestResult::Rejected(verdict);
-    }
+    if (verdict != RejectReason::kNone) return Reject(lane, verdict);
     // Stage the admitted frame; all decode work happens at flush
     // (AccumulateWireBlock) when the block fills or the epoch seals.
-    std::memcpy(lane.staging.data() +
-                    static_cast<std::size_t>(lane.staged) * stage_stride_,
-                request.frame.data(), request.frame.size());
-    if (++lane.staged == fo::bitslice::kBlockRows) FlushLocked(lane);
-    ++lane.tallies.reports;
-    lane.tallies.bytes += static_cast<long long>(request.frame.size());
-    return IngestResult::Accepted();
+    std::memcpy(block.row(), request.frame.data(), request.frame.size());
+    Commit(lane, block);
+    return Accept(lane, request);
   }
 
+  /// A tuple's fields: one per column of staging block `block`, packed
+  /// back to back from bit `bit_offset`. block -1 marks a tuple whose
+  /// framing the caller found malformed.
+  struct Fields {
+    int block = -1;
+    int bit_offset = 0;
+  };
+
+  /// Tuple ingest: checks every field while copying its image into the
+  /// block's next row (WireDecoder::StageField), then commits the row. A
+  /// bad field (or block -1) is counted kMalformed and commits nothing. The
+  /// caller has checked the frame's length (fo::ExactWireSize).
+  IngestResult IngestTuple(const IngestRequest& request, Fields fields);
+
   /// Closed-form lane feed for the fast simulation profile: draws the
-  /// aggregate support counts of `histogram` directly into lane
-  /// `lane % lanes()` (fo::Aggregator::AccumulateHistogram), bypassing the
-  /// wire. Counted as histogram-total reports of report_bytes() each.
+  /// aggregate support counts of `histogram` directly into block 0's column
+  /// of lane `lane % lanes()` (fo::Aggregator::AccumulateHistogram),
+  /// bypassing the wire. Counted as histogram-total reports of
+  /// report_bytes() each.
   void IngestHistogram(int lane, const std::vector<long long>& histogram,
                        Rng& rng);
 
-  /// Sums every lane's counts/tallies and resets the lanes for the next
-  /// epoch. O(lanes * k). Used by EpochManager::Seal; exposed for tests.
+  /// Sums every lane's counts/tallies and resets the lanes in place for
+  /// the next epoch. O(lanes * sum of column k). Used by the epoch
+  /// pipelines' Seal; exposed for tests.
   struct Drained {
+    /// Merged support counts, column after column in construction order
+    /// (size: sum of the column oracles' k).
     std::vector<long long> counts;
-    long long n = 0;
+    long long n = 0;  ///< accepted reports (tuples)
+    std::vector<long long> column_n;  ///< reports each column accumulated
     IngestCounters tallies;
   };
   Drained Drain();
@@ -167,38 +182,56 @@ class Collector final : public IngestSink {
   IngestCounters TotalsNow() const;
 
   int lanes() const { return static_cast<int>(lanes_.size()); }
-  /// The exact buffer size Ingest accepts (WireDecoder::report_bytes).
+  /// The exact buffer size Ingest accepts (block 0's first column).
   std::size_t report_bytes() const { return report_bytes_; }
+  /// Block 0's first column codec (a scalar collector's only one).
   const fo::FrequencyOracle& oracle() const { return oracle_; }
   const CollectorOptions& options() const { return options_; }
 
-  /// Rows currently staged (validated, not yet decoded) in lane
-  /// `lane % lanes()`. Exposed for flush-boundary tests.
+  /// Rows currently staged (validated, not yet decoded) in block 0 of
+  /// lane `lane % lanes()`. Exposed for flush-boundary tests.
   int staged(int lane) const;
 
  private:
+  /// One codec's per-lane state.
+  struct Column {
+    /// Byte offset of the column's image slot within a block row.
+    std::size_t offset;
+    fo::WireDecoder decoder;
+    std::unique_ptr<fo::Aggregator> aggregator;
+  };
+
+  /// kBlockRows rows of `stride` bytes plus kRowTailSlack; a row holds one
+  /// image per column, back to back. Cache-line aligned like Lane: its
+  /// `staged` counter is written on every accepted report.
+  struct alignas(64) Block {
+    explicit Block(const std::vector<const fo::FrequencyOracle*>& oracles);
+
+    std::uint8_t* row() {
+      return staging.data() + static_cast<std::size_t>(staged) * stride;
+    }
+
+    std::size_t stride = 0;
+    std::vector<std::uint8_t> staging;
+    int staged = 0;
+    std::vector<Column> columns;
+  };
+
   /// Cache-line isolated (alignas pads sizeof to a 64-byte multiple too):
   /// producers pinned to disjoint lanes touch disjoint lines, so the lane
   /// mutexes and hot tallies/staged counters never false-share — without
   /// this, adjacent heap-allocated lanes can land on one line and ingest
   /// throughput stops scaling with producer threads.
   struct alignas(64) Lane {
-    Lane(const fo::FrequencyOracle& oracle, std::size_t staging_bytes,
-         int index)
-        : aggregator(oracle.MakeAggregator()),
-          decoder(oracle),
-          staging(staging_bytes, 0),
-          index(index) {}
+    Lane(const std::vector<std::vector<const fo::FrequencyOracle*>>& oracles,
+         int index);
 
     mutable std::mutex mutex;
-    std::unique_ptr<fo::Aggregator> aggregator;
-    fo::WireDecoder decoder;
+    std::vector<Block> blocks;
+    /// IngestTuple's copy of the tuple, kRowTailSlack bytes longer, so
+    /// field reads may load whole words (WireDecoder::StageField).
+    std::vector<std::uint8_t> tuple;
     IngestCounters tallies;
-    /// kBlockRows rows of stage_stride_ bytes plus kRowTailSlack; row
-    /// padding bytes stay zero for the life of the lane (accepted frames
-    /// all have the same exact size).
-    std::vector<std::uint8_t> staging;
-    int staged = 0;
     /// Telemetry shard hint: flush histograms record on the lane's own
     /// shard, so lanes never share a histogram cache line either.
     const int index;
@@ -208,14 +241,30 @@ class Collector final : public IngestSink {
   static_assert(sizeof(Lane) % 64 == 0,
                 "lane padding must cover whole cache lines");
 
-  /// Decodes the lane's staged rows into its aggregator. Caller holds the
-  /// lane mutex.
-  void FlushLocked(Lane& lane);
+  Lane& LaneFor(int hint) {
+    return *lanes_[static_cast<std::size_t>(hint) % lanes_.size()];
+  }
+  /// Publishes the block's staged row; flushes a full block. Caller holds
+  /// the lane mutex.
+  void Commit(Lane& lane, Block& block) {
+    if (++block.staged == fo::bitslice::kBlockRows) FlushLocked(lane, block);
+  }
+  static IngestResult Accept(Lane& lane, const IngestRequest& request) {
+    ++lane.tallies.reports;
+    lane.tallies.bytes += static_cast<long long>(request.frame.size());
+    return IngestResult::Accepted();
+  }
+  static IngestResult Reject(Lane& lane, RejectReason reason) {
+    CountReject(lane.tallies, reason);
+    return IngestResult::Rejected(reason);
+  }
+  /// Decodes the block's staged rows into its columns' aggregators. Caller
+  /// holds the lane mutex.
+  void FlushLocked(Lane& lane, Block& block);
 
   const fo::FrequencyOracle& oracle_;
   CollectorOptions options_;
   std::size_t report_bytes_;
-  std::size_t stage_stride_;
   std::vector<std::unique_ptr<Lane>> lanes_;
 
   /// Tallies of every past Drain() (Drain resets the lanes, so lifetime

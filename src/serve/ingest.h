@@ -17,10 +17,6 @@
 // invariant) and codec strictness (WireDecoder's exact-serializer-image
 // acceptance) both surface through the same RejectReason so a deployment
 // can alert on each class independently.
-//
-// The older Ingest(lane, ptr, size) / Ingest(lane, vector) /
-// IngestUser(user, lane, ...) overload families survive one release as
-// [[deprecated]] inline shims on the concrete collectors.
 
 #include <cstdint>
 #include <optional>

@@ -183,23 +183,26 @@ EncodedStream LongitudinalClients::EncodeRound(const std::vector<int>& values,
   return out;
 }
 
-long long IngestStreamUsers(LongitudinalCollector& collector,
-                            const EncodedStream& stream, long long first_user,
-                            int threads) {
-  const int shards = collector.lanes();
+namespace {
+
+// Shards [0, count) over the sink's lanes — shard s ingests into lane s,
+// frame i attributed to first_user + i when there is one — and returns how
+// many frames the sink accepted.
+template <typename Sink, typename Frame>
+long long IngestSharded(Sink& sink, long long count, int threads,
+                        Frame frame,
+                        std::optional<long long> first_user = std::nullopt) {
+  const int shards = sink.lanes();
   std::vector<long long> accepted(shards, 0);
   ParallelForShards(
-      stream.count, shards,
+      count, shards,
       [&](int shard, long long lo, long long hi) {
         long long ok = 0;
         for (long long i = lo; i < hi; ++i) {
-          ok += collector
-                        .Ingest({{stream.frame(i), stream.frame_bytes},
-                                 first_user + i,
-                                 shard})
-                        .accepted
-                    ? 1
-                    : 0;
+          const std::optional<long long> user =
+              first_user ? std::optional<long long>(*first_user + i)
+                         : std::nullopt;
+          ok += sink.Ingest({frame(i), user, shard}).accepted ? 1 : 0;
         }
         accepted[shard] = ok;
       },
@@ -209,29 +212,25 @@ long long IngestStreamUsers(LongitudinalCollector& collector,
   return total;
 }
 
+}  // namespace
+
+long long IngestStreamUsers(LongitudinalCollector& collector,
+                            const EncodedStream& stream, long long first_user,
+                            int threads) {
+  return IngestSharded(
+      collector, stream.count, threads,
+      [&](long long i) {
+        return std::span<const std::uint8_t>(stream.frame(i),
+                                             stream.frame_bytes);
+      },
+      first_user);
+}
+
 long long IngestStream(Collector& collector, const EncodedStream& stream,
                        int threads) {
-  const int shards = collector.lanes();
-  std::vector<long long> accepted(shards, 0);
-  ParallelForShards(
-      stream.count, shards,
-      [&](int shard, long long lo, long long hi) {
-        long long ok = 0;
-        for (long long i = lo; i < hi; ++i) {
-          ok += collector
-                        .Ingest({{stream.frame(i), stream.frame_bytes},
-                                 std::nullopt,
-                                 shard})
-                        .accepted
-                    ? 1
-                    : 0;
-        }
-        accepted[shard] = ok;
-      },
-      threads);
-  long long total = 0;
-  for (long long a : accepted) total += a;
-  return total;
+  return IngestSharded(collector, stream.count, threads, [&](long long i) {
+    return std::span<const std::uint8_t>(stream.frame(i), stream.frame_bytes);
+  });
 }
 
 MtIngestResult IngestStreamMt(Collector& collector,
@@ -248,27 +247,10 @@ MtIngestResult IngestStreamMt(Collector& collector,
 
 long long IngestFrames(MultidimCollector& collector,
                        const EncodedFrames& frames, int threads) {
-  const int shards = collector.lanes();
-  std::vector<long long> accepted(shards, 0);
-  ParallelForShards(
-      frames.count(), shards,
-      [&](int shard, long long lo, long long hi) {
-        long long ok = 0;
-        for (long long i = lo; i < hi; ++i) {
-          ok += collector
-                        .Ingest({{frames.frame(i), frames.frame_size(i)},
-                                 std::nullopt,
-                                 shard})
-                        .accepted
-                    ? 1
-                    : 0;
-        }
-        accepted[shard] = ok;
-      },
-      threads);
-  long long total = 0;
-  for (long long a : accepted) total += a;
-  return total;
+  return IngestSharded(collector, frames.count(), threads, [&](long long i) {
+    return std::span<const std::uint8_t>(frames.frame(i),
+                                         frames.frame_size(i));
+  });
 }
 
 std::vector<std::uint8_t> FrameStreamRecords(
@@ -303,9 +285,9 @@ std::vector<std::uint8_t> FrameStreamRecords(
 
 namespace {
 
-SocketSendResult SendAll(int fd, std::span<const std::uint8_t> bytes,
-                         const char* what) {
-  const double start = MonotonicSeconds();
+// Writes every byte with send(MSG_NOSIGNAL), so a peer that hangs up fails
+// this call (EPIPE) instead of killing the process. Closes `fd` on failure.
+void SendAll(int fd, std::span<const std::uint8_t> bytes, const char* what) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
@@ -324,17 +306,20 @@ SocketSendResult SendAll(int fd, std::span<const std::uint8_t> bytes,
     }
     sent += static_cast<std::size_t>(n);
   }
+}
+
+SocketSendResult SendAndClose(int fd, std::span<const std::uint8_t> bytes,
+                              const char* what) {
+  const double start = MonotonicSeconds();
+  SendAll(fd, bytes, what);
   ::close(fd);
   SocketSendResult out;
-  out.bytes = static_cast<long long>(sent);
+  out.bytes = static_cast<long long>(bytes.size());
   out.seconds = MonotonicSeconds() - start;
   return out;
 }
 
-}  // namespace
-
-SocketSendResult SendOverUds(const std::string& uds_path,
-                             std::span<const std::uint8_t> bytes) {
+int ConnectUds(const std::string& uds_path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   LDPR_REQUIRE(uds_path.size() < sizeof(addr.sun_path),
@@ -349,7 +334,14 @@ SocketSendResult SendOverUds(const std::string& uds_path,
     LDPR_CHECK(false, "connect(" << uds_path
                                  << ") failed: " << std::strerror(err));
   }
-  return SendAll(fd, bytes, "UDS");
+  return fd;
+}
+
+}  // namespace
+
+SocketSendResult SendOverUds(const std::string& uds_path,
+                             std::span<const std::uint8_t> bytes) {
+  return SendAndClose(ConnectUds(uds_path), bytes, "UDS");
 }
 
 SocketSendResult SendOverTcp(int port, std::span<const std::uint8_t> bytes) {
@@ -369,38 +361,17 @@ SocketSendResult SendOverTcp(int port, std::span<const std::uint8_t> bytes) {
                                            << ") failed: "
                                            << std::strerror(err));
   }
-  return SendAll(fd, bytes, "TCP");
+  return SendAndClose(fd, bytes, "TCP");
 }
 
 std::string HttpGetOverUds(const std::string& uds_path,
                            const std::string& target) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  LDPR_REQUIRE(uds_path.size() < sizeof(addr.sun_path),
-               "UDS path too long: " << uds_path);
-  std::strncpy(addr.sun_path, uds_path.c_str(), sizeof(addr.sun_path) - 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  LDPR_CHECK(fd >= 0, "socket(AF_UNIX) failed: " << std::strerror(errno));
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(fd);
-    LDPR_CHECK(false, "connect(" << uds_path
-                                 << ") failed: " << std::strerror(err));
-  }
+  const int fd = ConnectUds(uds_path);
   const std::string request = "GET " + target + " HTTP/1.0\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::write(fd, request.data() + sent, request.size() - sent);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);
-      LDPR_CHECK(false, "admin request write failed: "
-                            << std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
-  }
+  SendAll(fd,
+          {reinterpret_cast<const std::uint8_t*>(request.data()),
+           request.size()},
+          "admin request");
   std::string response;
   char chunk[4096];
   while (true) {

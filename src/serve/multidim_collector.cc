@@ -1,173 +1,133 @@
 #include "serve/multidim_collector.h"
 
-#include "core/check.h"
-#include "core/parallel.h"
+#include "fo/factory.h"
 #include "fo/wire.h"
 
 namespace ldpr::serve {
 
-struct MultidimCollector::Lane {
-  std::mutex mutex;
-  /// SPL/SMP: one aggregator + wire decoder per attribute.
-  std::vector<std::unique_ptr<fo::Aggregator>> per_attribute;
-  std::vector<fo::WireDecoder> decoders;
-  /// RS+FD / RS+RFD: the support-count matrix of the StreamAggregators.
-  std::vector<std::vector<long long>> counts;
-  std::vector<int> values_scratch;
-  long long n = 0;
-  IngestCounters tallies;
-};
+MultidimCollector::Plan MultidimCollector::CodecPlan(
+    bool ue_vector, const std::vector<int>& domain_sizes) {
+  // These columns only count support, which never reads the oracle's p/q:
+  // any budget will do.
+  Plan plan{ue_vector ? Layout::kUeVector : Layout::kPerAttribute, {}, {}};
+  if (ue_vector) {
+    int bits = 0;
+    for (int k : domain_sizes) bits += k;
+    plan.codecs.push_back(fo::MakeOracle(fo::Protocol::kOue, bits, 1.0));
+  } else {
+    for (int k : domain_sizes) {
+      plan.codecs.push_back(fo::MakeOracle(fo::Protocol::kGrr, k, 1.0));
+    }
+  }
+  for (const auto& codec : plan.codecs) plan.columns.push_back(codec.get());
+  return plan;
+}
 
-MultidimCollector::~MultidimCollector() = default;
+template <typename Solution>
+MultidimCollector::Plan MultidimCollector::OraclePlan(
+    Layout layout, const Solution& solution) {
+  Plan plan{layout, {}, {}};
+  for (int j = 0; j < solution.d(); ++j) {
+    plan.columns.push_back(&solution.oracle(j));
+  }
+  return plan;
+}
 
 MultidimCollector::MultidimCollector(Kind kind, std::vector<int> domain_sizes,
+                                     Plan plan,
                                      const CollectorOptions& options)
-    : kind_(kind), domain_sizes_(std::move(domain_sizes)) {
-  (void)options;
+    : kind_(kind),
+      domain_sizes_(std::move(domain_sizes)),
+      layout_(plan.layout),
+      codecs_(std::move(plan.codecs)),
+      collector_(Blocks(plan.layout, plan.columns), options) {
+  for (const fo::FrequencyOracle* column : plan.columns) {
+    field_bits_.push_back(fo::SerializedReportBits(*column));
+    tuple_bits_ += field_bits_.back();
+  }
+  attr_width_ = fo::CeilLog2(d());
   opened_at_ = MonotonicSeconds();
   cumulative_attr_n_.assign(domain_sizes_.size(), 0);
 }
 
+std::vector<std::vector<const fo::FrequencyOracle*>> MultidimCollector::Blocks(
+    Layout layout, const std::vector<const fo::FrequencyOracle*>& columns) {
+  // SMP stages one attribute per tuple, so each column is its own block;
+  // otherwise every tuple fills all columns of one shared block.
+  if (layout != Layout::kSampled) return {columns};
+  std::vector<std::vector<const fo::FrequencyOracle*>> blocks;
+  for (const fo::FrequencyOracle* column : columns) blocks.push_back({column});
+  return blocks;
+}
+
 MultidimCollector::MultidimCollector(const multidim::Spl& spl,
                                      const CollectorOptions& options)
-    : MultidimCollector(Kind::kSpl, spl.domain_sizes(), options) {
+    : MultidimCollector(
+          Kind::kSpl, spl.domain_sizes(),
+          spl.oracle(0).protocol() == fo::Protocol::kSue ||
+                  spl.oracle(0).protocol() == fo::Protocol::kOue
+              ? CodecPlan(true, spl.domain_sizes())
+              : OraclePlan(Layout::kPerAttribute, spl),
+          options) {
   spl_ = &spl;
-  fixed_tuple_bits_ = SplTupleWireBits(spl);
-  InitLanes(options.lanes);
 }
 
 MultidimCollector::MultidimCollector(const multidim::Smp& smp,
                                      const CollectorOptions& options)
-    : MultidimCollector(Kind::kSmp, smp.domain_sizes(), options) {
+    : MultidimCollector(Kind::kSmp, smp.domain_sizes(),
+                        OraclePlan(Layout::kSampled, smp), options) {
   smp_ = &smp;
-  attr_width_ = fo::CeilLog2(smp.d());
-  value_widths_.resize(smp.d());
-  for (int j = 0; j < smp.d(); ++j) {
-    value_widths_[j] = SmpTupleWireBits(smp, j);
-  }
-  InitLanes(options.lanes);
 }
 
 MultidimCollector::MultidimCollector(const multidim::RsFd& rsfd,
                                      const CollectorOptions& options)
-    : MultidimCollector(Kind::kRsFd, rsfd.domain_sizes(), options) {
+    : MultidimCollector(Kind::kRsFd, rsfd.domain_sizes(),
+                        CodecPlan(multidim::IsUeVariant(rsfd.variant()),
+                                  rsfd.domain_sizes()),
+                        options) {
   rsfd_ = &rsfd;
-  ue_variant_ = multidim::IsUeVariant(rsfd.variant());
-  fixed_tuple_bits_ = FdTupleWireBits(ue_variant_, domain_sizes_);
-  for (int k : domain_sizes_) value_widths_.push_back(fo::CeilLog2(k));
-  InitLanes(options.lanes);
 }
 
 MultidimCollector::MultidimCollector(const multidim::RsRfd& rsrfd,
                                      const CollectorOptions& options)
-    : MultidimCollector(Kind::kRsRfd, rsrfd.domain_sizes(), options) {
+    : MultidimCollector(
+          Kind::kRsRfd, rsrfd.domain_sizes(),
+          CodecPlan(rsrfd.variant() != multidim::RsRfdVariant::kGrr,
+                    rsrfd.domain_sizes()),
+          options) {
   rsrfd_ = &rsrfd;
-  ue_variant_ = rsrfd.variant() != multidim::RsRfdVariant::kGrr;
-  fixed_tuple_bits_ = FdTupleWireBits(ue_variant_, domain_sizes_);
-  for (int k : domain_sizes_) value_widths_.push_back(fo::CeilLog2(k));
-  InitLanes(options.lanes);
-}
-
-void MultidimCollector::InitLanes(int lanes) {
-  if (lanes <= 0) lanes = DefaultThreadCount();
-  LDPR_CHECK(lanes >= 1, "collector needs at least one lane");
-  lanes_.reserve(lanes);
-  for (int i = 0; i < lanes; ++i) {
-    auto lane = std::make_unique<Lane>();
-    if (kind_ == Kind::kSpl || kind_ == Kind::kSmp) {
-      lane->per_attribute.reserve(d());
-      lane->decoders.reserve(d());
-      for (int j = 0; j < d(); ++j) {
-        const fo::FrequencyOracle& oracle =
-            kind_ == Kind::kSpl ? spl_->oracle(j) : smp_->oracle(j);
-        lane->per_attribute.push_back(oracle.MakeAggregator());
-        lane->decoders.emplace_back(oracle);
-      }
-    } else {
-      lane->counts.resize(d());
-      for (int j = 0; j < d(); ++j) lane->counts[j].assign(domain_sizes_[j], 0);
-      lane->values_scratch.resize(d());
-    }
-    lanes_.push_back(std::move(lane));
-  }
 }
 
 IngestResult MultidimCollector::Ingest(const IngestRequest& request) {
-  Lane& lane =
-      *lanes_[static_cast<std::size_t>(request.lane) % lanes_.size()];
-  const std::uint8_t* data = request.frame.data();
-  const std::size_t size = request.frame.size();
-  std::lock_guard<std::mutex> guard(lane.mutex);
-  const bool accepted = (kind_ == Kind::kSpl || kind_ == Kind::kSmp)
-                            ? IngestSplSmp(lane, data, size)
-                            : IngestFd(lane, data, size);
-  if (accepted) {
-    ++lane.tallies.reports;
-    lane.tallies.bytes += static_cast<long long>(size);
-    return IngestResult::Accepted();
-  }
-  ++lane.tallies.rejected;
-  return IngestResult::Rejected(RejectReason::kMalformed);
+  // A single UE column takes the whole tuple as one report — every bit
+  // pattern of the right width is valid: the scalar Validate + memcpy path.
+  return layout_ == Layout::kUeVector
+             ? collector_.Ingest(request)
+             : collector_.IngestTuple(request, FieldsOf(request.frame));
 }
 
-bool MultidimCollector::IngestSplSmp(Lane& lane, const std::uint8_t* data,
-                                     std::size_t size) {
-  if (kind_ == Kind::kSpl) {
-    if (!fo::ExactWireSize({data, size}, fixed_tuple_bits_)) return false;
-    int offset = 0;
-    // Validate every attribute's field before touching any aggregator.
-    for (int j = 0; j < d(); ++j) {
-      if (!lane.decoders[j].DecodeField(data, &offset)) return false;
-    }
-    for (int j = 0; j < d(); ++j) {
-      lane.decoders[j].AccumulateScratch(*lane.per_attribute[j]);
-    }
-    ++lane.n;
-    return true;
+Collector::Fields MultidimCollector::FieldsOf(
+    std::span<const std::uint8_t> frame) const {
+  if (layout_ == Layout::kPerAttribute) {
+    if (!fo::ExactWireSize(frame, tuple_bits_)) return {};
+    return {0, 0};
   }
-  // SMP: the attribute index determines the tuple's width. Widths compare
-  // in 64-bit so absurdly large buffers reject cleanly instead of
-  // overflowing the bit count.
-  if (data == nullptr ||
-      size * 8ull < static_cast<unsigned long long>(attr_width_)) {
-    return false;
+  // SMP: the attribute index determines the tuple's width; every valid
+  // tuple carries at least one report bit past it. Widths compare in 64-bit
+  // so absurdly large buffers reject cleanly instead of overflowing.
+  if (frame.size() * 8ull <= static_cast<unsigned long long>(attr_width_)) {
+    return {};
   }
-  fo::BitCursor cursor{data};
-  const int attribute = static_cast<int>(cursor.Read(attr_width_));
+  std::uint64_t head = 0;  // the index is the top attr_width_ bits
+  const int head_bytes = (attr_width_ + 7) / 8;
+  for (int i = 0; i < head_bytes; ++i) head = head << 8 | frame[i];
+  const int attribute =
+      static_cast<int>(head >> (head_bytes * 8 - attr_width_));
   if (attribute >= d() ||
-      !fo::ExactWireSize({data, size}, value_widths_[attribute])) {
-    return false;
+      !fo::ExactWireSize(frame, attr_width_ + field_bits_[attribute])) {
+    return {};
   }
-  int offset = cursor.position;
-  if (!lane.decoders[attribute].DecodeField(data, &offset)) return false;
-  lane.decoders[attribute].AccumulateScratch(*lane.per_attribute[attribute]);
-  ++lane.n;
-  return true;
-}
-
-bool MultidimCollector::IngestFd(Lane& lane, const std::uint8_t* data,
-                                 std::size_t size) {
-  if (!fo::ExactWireSize({data, size}, fixed_tuple_bits_)) return false;
-  fo::BitCursor cursor{data};
-  if (!ue_variant_) {
-    for (int j = 0; j < d(); ++j) {
-      const int value = static_cast<int>(cursor.Read(value_widths_[j]));
-      if (value >= domain_sizes_[j]) return false;
-      lane.values_scratch[j] = value;
-    }
-    for (int j = 0; j < d(); ++j) ++lane.counts[j][lane.values_scratch[j]];
-  } else {
-    // Every bit pattern is a valid UE tuple; fold the set bits directly
-    // into the support-count matrix.
-    for (int j = 0; j < d(); ++j) {
-      std::vector<long long>& column = lane.counts[j];
-      for (int v = 0; v < domain_sizes_[j]; ++v) {
-        column[v] += static_cast<long long>(cursor.Read(1));
-      }
-    }
-  }
-  ++lane.n;
-  return true;
+  return {attribute, attr_width_};
 }
 
 MultidimSnapshot MultidimCollector::Seal() {
@@ -177,78 +137,63 @@ MultidimSnapshot MultidimCollector::Seal() {
   snapshot.stats.seconds = now - opened_at_;
   opened_at_ = now;
 
-  IngestCounters tallies;
-  std::vector<long long> attr_n(d(), 0);
-  if (kind_ == Kind::kSpl || kind_ == Kind::kSmp) {
-    std::vector<std::unique_ptr<fo::Aggregator>> merged;
-    merged.reserve(d());
+  std::vector<std::vector<long long>> counts(d());
+  std::vector<long long> attr_n;
+  {
+    // Release the drained buffers before the estimates are allocated:
+    // freed after them, they sat at the top of the heap and malloc trimmed
+    // and regrew it on every seal.
+    const Collector::Drained drained = collector_.Drain();
+    snapshot.n = drained.n;
+    snapshot.stats.reports = drained.tallies.reports;
+    snapshot.stats.bytes = drained.tallies.bytes;
+    snapshot.stats.rejected = drained.tallies.rejected;
+    // Whether one UE column spans every attribute or each attribute has
+    // its own column, the drained counts run attribute after attribute.
+    auto next = drained.counts.begin();
     for (int j = 0; j < d(); ++j) {
-      const fo::FrequencyOracle& oracle =
-          kind_ == Kind::kSpl ? spl_->oracle(j) : smp_->oracle(j);
-      merged.push_back(oracle.MakeAggregator());
+      counts[j].assign(next, next + domain_sizes_[j]);
+      next += domain_sizes_[j];
     }
-    for (auto& lane_ptr : lanes_) {
-      Lane& lane = *lane_ptr;
-      std::lock_guard<std::mutex> guard(lane.mutex);
-      for (int j = 0; j < d(); ++j) {
-        merged[j]->Merge(*lane.per_attribute[j]);
-        const fo::FrequencyOracle& oracle =
-            kind_ == Kind::kSpl ? spl_->oracle(j) : smp_->oracle(j);
-        lane.per_attribute[j] = oracle.MakeAggregator();
-      }
-      snapshot.n += lane.n;
-      lane.n = 0;
-      tallies.Merge(lane.tallies);
-      lane.tallies = IngestCounters{};
-    }
-    for (int j = 0; j < d(); ++j) {
-      // SPL randomizes every attribute per tuple; SMP only the sampled one.
-      attr_n[j] = kind_ == Kind::kSpl ? snapshot.n : merged[j]->n();
-    }
-    if (snapshot.n > 0) {
-      snapshot.estimates.resize(d());
-      for (int j = 0; j < d(); ++j) {
-        if (merged[j]->n() == 0) {
-          // No user sampled this attribute (SMP); best unbiased guess is
-          // uniform — mirrors Smp::StreamAggregator::Estimate.
-          snapshot.estimates[j].assign(domain_sizes_[j],
-                                       1.0 / domain_sizes_[j]);
-        } else {
-          snapshot.estimates[j] = merged[j]->Estimate();
+    // SPL randomizes every attribute per tuple; SMP only the sampled one.
+    attr_n = layout_ == Layout::kSampled
+                 ? drained.column_n
+                 : std::vector<long long>(d(), drained.n);
+  }
+  if (snapshot.n > 0) {
+    switch (kind_) {
+      case Kind::kSpl:
+      case Kind::kSmp:
+        snapshot.estimates.resize(d());
+        for (int j = 0; j < d(); ++j) {
+          if (attr_n[j] == 0) {
+            // No user sampled this attribute (SMP); best unbiased guess is
+            // uniform — mirrors Smp::Estimate.
+            snapshot.estimates[j].assign(domain_sizes_[j],
+                                         1.0 / domain_sizes_[j]);
+          } else {
+            const fo::FrequencyOracle& oracle =
+                kind_ == Kind::kSpl ? spl_->oracle(j) : smp_->oracle(j);
+            snapshot.estimates[j] =
+                oracle.EstimateFromCounts(counts[j], attr_n[j]);
+          }
         }
-      }
-    }
-  } else {
-    std::vector<std::vector<long long>> counts(d());
-    for (int j = 0; j < d(); ++j) counts[j].assign(domain_sizes_[j], 0);
-    for (auto& lane_ptr : lanes_) {
-      Lane& lane = *lane_ptr;
-      std::lock_guard<std::mutex> guard(lane.mutex);
-      for (int j = 0; j < d(); ++j) {
-        for (int v = 0; v < domain_sizes_[j]; ++v) {
-          counts[j][v] += lane.counts[j][v];
-        }
-        lane.counts[j].assign(domain_sizes_[j], 0);
-      }
-      snapshot.n += lane.n;
-      lane.n = 0;
-      tallies.Merge(lane.tallies);
-      lane.tallies = IngestCounters{};
-    }
-    if (snapshot.n > 0) {
-      snapshot.estimates =
-          kind_ == Kind::kRsFd
-              ? rsfd_->EstimateFromSupportCounts(counts, snapshot.n)
-              : rsrfd_->EstimateFromSupportCounts(counts, snapshot.n);
+        break;
+      case Kind::kRsFd:
+        snapshot.estimates =
+            rsfd_->EstimateFromSupportCounts(counts, snapshot.n);
+        break;
+      case Kind::kRsRfd:
+        snapshot.estimates =
+            rsrfd_->EstimateFromSupportCounts(counts, snapshot.n);
+        break;
     }
   }
 
-  snapshot.stats.reports = tallies.reports;
-  snapshot.stats.bytes = tallies.bytes;
-  snapshot.stats.rejected = tallies.rejected;
   snapshot.stats.reports_per_second =
       snapshot.stats.seconds > 0.0
-          ? static_cast<double>(tallies.reports) / snapshot.stats.seconds
+          ? static_cast<double>(snapshot.stats.reports) /
+                snapshot.stats.seconds
           : 0.0;
 
   cumulative_n_ += snapshot.n;

@@ -1,24 +1,23 @@
 #ifndef LDPR_SERVE_MULTIDIM_COLLECTOR_H_
 #define LDPR_SERVE_MULTIDIM_COLLECTOR_H_
 
-// Multidimensional front-end of the collection service: routes wire-encoded
-// SPL / SMP / RS+FD / RS+RFD tuples (serve/multidim_wire formats) into
-// lock-striped per-attribute lanes.
-//
-// Per lane, SPL and SMP decode through one fo::WireDecoder per attribute
-// into per-attribute fo::Aggregators (SMP feeds only the sampled
-// attribute's); the fake-data solutions accumulate straight into a
-// support-count matrix — the same counts their StreamAggregators keep — so
-// sealing estimates via RsFd/RsRfd::EstimateFromSupportCounts. Ingest is
-// all-or-nothing: every attribute field of a tuple is validated before any
-// aggregator is touched, and a malformed tuple is rejected without side
-// effects. As with the scalar Collector, sealed results depend only on the
-// multiset of accepted tuples, never on lane assignment or thread count.
+// Multidimensional front-end of the collection service: a tuple layout
+// plus an estimator over one serve::Collector, whose lanes, block kernels,
+// TotalsNow and `ldpr_ingest_*` telemetry it shares. The wire format
+// (serve/multidim_wire) fixes the column plan:
+//   - a tuple that is one unary-encoded vector (RS+FD / RS+RFD UE variants,
+//     SPL over SUE/OUE) is one UE column of sum_j k_j bits — the scalar
+//     memcpy path — whose counts split per attribute at seal;
+//   - SPL over GRR/OLH/SS and RS+FD / RS+RFD over GRR stage one field into
+//     each attribute's column, all in one block;
+//   - SMP feeds only the sampled attribute's column, each its own block.
+// Ingest is all-or-nothing, sealed results depend only on the multiset of
+// accepted tuples, and seals are bit-identical to the solution's batch
+// Estimate of the same tuples.
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <vector>
 
 #include "serve/collector.h"
@@ -47,7 +46,8 @@ class MultidimCollector final : public IngestSink {
  public:
   /// The solution object must outlive the collector. `options.consistency`
   /// is unused here (the multidim estimators are already unbiased per
-  /// attribute; post-processing stays a caller concern).
+  /// attribute; post-processing stays a caller concern); `options.metrics`
+  /// exports the underlying Collector's telemetry, counted in tuples.
   MultidimCollector(const multidim::Spl& spl,
                     const CollectorOptions& options = {});
   MultidimCollector(const multidim::Smp& smp,
@@ -57,33 +57,50 @@ class MultidimCollector final : public IngestSink {
   MultidimCollector(const multidim::RsRfd& rsrfd,
                     const CollectorOptions& options = {});
 
-  ~MultidimCollector() override;  // Lane is incomplete here
-
-  /// Decodes one wire-encoded tuple into lane `request.lane % lanes()`.
+  /// Stages one wire-encoded tuple into lane `request.lane % lanes()`.
   /// Thread-safe; a malformed tuple is rejected kMalformed (counted, no
   /// accumulation). The multidim front-end has no replay classification
   /// yet, so request.user is accepted unclassified.
   IngestResult Ingest(const IngestRequest& request) override;
 
-  /// Merges every lane, estimates per-attribute frequencies, freezes the
-  /// ingest stats and resets the lanes for the next epoch. O(lanes * sum k_j)
-  /// regardless of the number of tuples ingested.
+  /// Drains every lane, estimates per-attribute frequencies, freezes the
+  /// ingest stats and resets the lanes for the next epoch. O(lanes * sum
+  /// k_j) regardless of the number of tuples ingested.
   MultidimSnapshot Seal();
 
-  int lanes() const { return static_cast<int>(lanes_.size()); }
+  int lanes() const { return collector_.lanes(); }
   int d() const { return static_cast<int>(domain_sizes_.size()); }
   const std::vector<int>& domain_sizes() const { return domain_sizes_; }
 
  private:
   enum class Kind { kSpl, kSmp, kRsFd, kRsRfd };
+  /// How a tuple's fields map onto the Collector's columns.
+  enum class Layout {
+    kUeVector,      ///< the whole tuple is one report of a single UE column
+    kPerAttribute,  ///< concat_j field_j, field j into column j (one block)
+    kSampled,       ///< attr | field_attr, into block attr's one column
+  };
+  /// The columns (codecs, in attribute order) a solution's wire format
+  /// stages into; `codecs` owns those the solution does not.
+  struct Plan {
+    Layout layout;
+    std::vector<std::unique_ptr<fo::FrequencyOracle>> codecs;
+    std::vector<const fo::FrequencyOracle*> columns;
+  };
+  /// Counting codecs: one UE column of sum_j k_j bits, or a GRR column per
+  /// attribute.
+  static Plan CodecPlan(bool ue_vector, const std::vector<int>& domain_sizes);
+  /// The solution's own per-attribute oracles.
+  template <typename Solution>
+  static Plan OraclePlan(Layout layout, const Solution& solution);
+  static std::vector<std::vector<const fo::FrequencyOracle*>> Blocks(
+      Layout layout, const std::vector<const fo::FrequencyOracle*>& columns);
 
-  struct Lane;
-
-  MultidimCollector(Kind kind, std::vector<int> domain_sizes,
+  MultidimCollector(Kind kind, std::vector<int> domain_sizes, Plan plan,
                     const CollectorOptions& options);
-  void InitLanes(int lanes);
-  bool IngestSplSmp(Lane& lane, const std::uint8_t* data, std::size_t size);
-  bool IngestFd(Lane& lane, const std::uint8_t* data, std::size_t size);
+  /// Where the tuple's fields are under the layout; no block when its
+  /// framing (length, attribute index) is malformed.
+  Collector::Fields FieldsOf(std::span<const std::uint8_t> frame) const;
   /// Builds the eps report for `n` tuples with `attr_n[j]` surveys charged
   /// to attribute j (SPL/SMP; FD kinds use the expected-exposure closed
   /// form and ignore attr_n).
@@ -97,13 +114,13 @@ class MultidimCollector final : public IngestSink {
   const multidim::RsRfd* rsrfd_ = nullptr;
 
   std::vector<int> domain_sizes_;
-  bool ue_variant_ = false;         ///< FD kinds: unary-encoded payloads
-  int attr_width_ = 0;              ///< SMP attribute-index width
-  int fixed_tuple_bits_ = 0;        ///< SPL / FD: the whole tuple's width
-  /// FD: per-attribute value widths (GRR payloads); SMP: per-attribute
-  /// whole-tuple widths (index + report).
-  std::vector<int> value_widths_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  Layout layout_;
+  /// Per-attribute field widths (kPerAttribute / kSampled).
+  std::vector<int> field_bits_;
+  int tuple_bits_ = 0;  ///< kPerAttribute: the whole tuple's width
+  int attr_width_ = 0;  ///< kSampled: attribute-index width
+  std::vector<std::unique_ptr<fo::FrequencyOracle>> codecs_;
+  Collector collector_;
   long long next_epoch_ = 0;
   double opened_at_ = 0.0;
   /// Cumulative ledger tallies, integer until report time.

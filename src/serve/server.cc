@@ -490,8 +490,16 @@ void IngestServer::AdminEventReady(int fd) {
     poller_->SetInterest(fd, /*read=*/false, /*write=*/true);
   }
   while (conn.written < conn.response.size()) {
-    const ssize_t n = ::write(fd, conn.response.data() + conn.written,
-                              conn.response.size() - conn.written);
+    // MSG_NOSIGNAL: a scraper that hangs up before reading must cost only
+    // its own connection (EPIPE below), never the process (SIGPIPE).
+    const ssize_t n = ::send(fd, conn.response.data() + conn.written,
+                             conn.response.size() - conn.written,
+#ifdef MSG_NOSIGNAL
+                             MSG_NOSIGNAL
+#else
+                             0
+#endif
+    );
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
       CloseAdmin(fd);

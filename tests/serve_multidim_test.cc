@@ -5,6 +5,8 @@
 // widths (fo/comm_cost).
 
 #include <cmath>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "data/priors.h"
 #include "data/synthetic.h"
 #include "fo/comm_cost.h"
+#include "obs/metrics.h"
 #include "serve/loadgen.h"
 #include "serve/multidim_collector.h"
 
@@ -65,10 +68,10 @@ std::vector<std::vector<std::uint8_t>> SerializeAll(
 }
 
 /// Randomizes every dataset record, ships the tuples through a
-/// MultidimCollector, and checks the sealed estimates against the
-/// solution's own batch Estimate of the identical report vector.
+/// MultidimCollector with `lanes` lanes, and checks the sealed estimates
+/// against the solution's own batch Estimate of the identical report vector.
 template <typename Solution>
-void ExpectSealMatchesBatch(const Solution& solution, int lanes) {
+void ExpectSealMatchesBatchAt(const Solution& solution, int lanes) {
   const data::Dataset& ds = TestDataset();
   Rng rng(31);
   std::vector<decltype(solution.RandomizeUser(ds.Record(0), rng))> reports;
@@ -92,6 +95,16 @@ void ExpectSealMatchesBatch(const Solution& solution, int lanes) {
   ASSERT_EQ(snapshot.estimates.size(), batch.size());
   for (std::size_t j = 0; j < batch.size(); ++j) {
     EXPECT_EQ(snapshot.estimates[j], batch[j]) << "attribute " << j;
+  }
+}
+
+/// ExpectSealMatchesBatchAt at one lane — 259 tuples against kBlockRows =
+/// 128, so every column crosses flush boundaries — and at `lanes`.
+template <typename Solution>
+void ExpectSealMatchesBatch(const Solution& solution, int lanes) {
+  for (int lane_count : {1, lanes}) {
+    SCOPED_TRACE(lane_count);
+    ExpectSealMatchesBatchAt(solution, lane_count);
   }
 }
 
@@ -241,6 +254,133 @@ TEST(ServeMultidimTest, SmpOutOfRangeAttributeRejected) {
   const MultidimSnapshot snapshot = collector.Seal();
   EXPECT_EQ(snapshot.n, 1);
   EXPECT_EQ(snapshot.stats.rejected, 1);
+}
+
+/// Four producer threads, each on its own lane, must seal bit-identical to
+/// one thread feeding one lane: the lane and thread count never change a
+/// sealed epoch.
+template <typename Solution>
+void ExpectConcurrentSealMatchesSerial(const Solution& solution,
+                                       const data::Dataset& ds) {
+  Rng rng(41);
+  std::vector<decltype(solution.RandomizeUser(ds.Record(0), rng))> reports;
+  for (int i = 0; i < ds.n(); ++i) {
+    reports.push_back(solution.RandomizeUser(ds.Record(i), rng));
+  }
+  auto frames = SerializeAll(solution, reports);
+  frames.push_back({0xFF});  // one malformed tuple, rejected on both paths
+
+  MultidimCollector serial(solution, CollectorOptions{.lanes = 1});
+  for (const auto& frame : frames) serial.Ingest({frame});
+
+  constexpr int kProducers = 4;
+  MultidimCollector concurrent(solution,
+                               CollectorOptions{.lanes = kProducers});
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      for (std::size_t i = t; i < frames.size(); i += kProducers) {
+        concurrent.Ingest({frames[i], std::nullopt, t});
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+
+  const MultidimSnapshot a = serial.Seal();
+  const MultidimSnapshot b = concurrent.Seal();
+  EXPECT_EQ(a.n, ds.n());
+  EXPECT_EQ(b.n, a.n);
+  EXPECT_EQ(b.stats.reports, a.stats.reports);
+  EXPECT_EQ(b.stats.bytes, a.stats.bytes);
+  EXPECT_EQ(b.stats.rejected, 1);
+  EXPECT_EQ(b.estimates, a.estimates);
+  EXPECT_EQ(b.ledger.per_attribute, a.ledger.per_attribute);
+  EXPECT_EQ(b.ledger.total_epsilon, a.ledger.total_epsilon);
+}
+
+TEST(ServeMultidimTest, ConcurrentProducersSealBitIdenticalToSerial) {
+  const data::Dataset ds = data::NurseryLike(11, 0.2);
+  Rng prior_rng(5);
+  const auto priors =
+      data::BuildPriors(ds, data::PriorKind::kCorrectLaplace, prior_rng);
+  ExpectConcurrentSealMatchesSerial(
+      multidim::Spl(fo::Protocol::kGrr, ds.domain_sizes(), 2.0), ds);
+  ExpectConcurrentSealMatchesSerial(
+      multidim::Smp(fo::Protocol::kOue, ds.domain_sizes(), 2.0), ds);
+  ExpectConcurrentSealMatchesSerial(
+      multidim::RsFd(multidim::RsFdVariant::kGrr, ds.domain_sizes(), 2.0), ds);
+  ExpectConcurrentSealMatchesSerial(
+      multidim::RsRfd(multidim::RsRfdVariant::kOueR, ds.domain_sizes(), 2.0,
+                      priors),
+      ds);
+}
+
+// Value of an exactly-named series in a Prometheus text rendering; -1 when
+// absent.
+long long SeriesValue(const std::string& text, const std::string& series) {
+  const std::string needle = "\n" + series + " ";
+  const std::size_t pos = ("\n" + text).find(needle);
+  if (pos == std::string::npos) return -1;
+  return std::stoll(text.substr(pos + needle.size() - 1));
+}
+
+// With a MetricsRegistry attached, the multidim front-end exports the
+// Collector's ldpr_ingest_* counters in tuples: a scrape — mid-epoch or
+// after the seal — equals the sealed stats, malformed tuples included.
+TEST(ServeMultidimTest, ScrapedIngestCountersMatchSealedStats) {
+  const data::Dataset& ds = TestDataset();
+  multidim::Smp smp(fo::Protocol::kGrr, ds.domain_sizes(), 2.0);
+  multidim::RsFd rsfd(multidim::RsFdVariant::kOueR, ds.domain_sizes(), 2.0);
+  Rng rng(8);
+  std::vector<multidim::SmpReport> smp_reports;
+  std::vector<multidim::MultidimReport> fd_reports;
+  for (int i = 0; i < ds.n(); ++i) {
+    smp_reports.push_back(smp.RandomizeUser(ds.Record(i), rng));
+    fd_reports.push_back(rsfd.RandomizeUser(ds.Record(i), rng));
+  }
+  const auto check = [](MultidimCollector& collector,
+                        obs::MetricsRegistry& registry,
+                        const std::vector<std::vector<std::uint8_t>>& frames) {
+    long long malformed = 0;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      collector.Ingest({frames[i], std::nullopt, static_cast<int>(i)});
+      if (i % 7 == 0) {  // truncated and over-long tuples
+        std::vector<std::uint8_t> bad = frames[i];
+        if (i % 2 == 0) {
+          bad.pop_back();
+        } else {
+          bad.push_back(0);
+        }
+        EXPECT_FALSE(collector.Ingest({bad}).accepted);
+        ++malformed;
+      }
+    }
+    const std::string mid_epoch = registry.RenderPrometheus();
+    const MultidimSnapshot snapshot = collector.Seal();
+    const std::string sealed = registry.RenderPrometheus();
+    EXPECT_EQ(snapshot.stats.rejected, malformed);
+    for (const std::string& text : {mid_epoch, sealed}) {
+      EXPECT_EQ(SeriesValue(text, "ldpr_ingest_reports_total"),
+                snapshot.stats.reports);
+      EXPECT_EQ(SeriesValue(text, "ldpr_ingest_bytes_total"),
+                snapshot.stats.bytes);
+      EXPECT_EQ(SeriesValue(
+                    text, "ldpr_ingest_rejects_total{reason=\"malformed\"}"),
+                snapshot.stats.rejected);
+    }
+  };
+  {
+    obs::MetricsRegistry registry;
+    MultidimCollector collector(
+        smp, CollectorOptions{.lanes = 2, .metrics = &registry});
+    check(collector, registry, SerializeAll(smp, smp_reports));
+  }
+  {
+    obs::MetricsRegistry registry;
+    MultidimCollector collector(
+        rsfd, CollectorOptions{.lanes = 2, .metrics = &registry});
+    check(collector, registry, SerializeAll(rsfd, fd_reports));
+  }
 }
 
 }  // namespace

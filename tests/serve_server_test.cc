@@ -9,11 +9,14 @@
 // ASan fast label.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -647,6 +650,71 @@ TEST(AdminEndpointTest, ScrapeDuringConcurrentStreamingIsSafeAndExact) {
 
   const IngestCounters totals = collector.Drain().tallies;
   EXPECT_EQ(totals.reports, n);
+}
+
+// A scraper that sends GET /metrics and hangs up before reading must cost
+// only its own connection: the server's response write then fails with
+// EPIPE, which must not raise SIGPIPE and kill the process.
+TEST(AdminEndpointTest, ScraperHangingUpBeforeReadingLeavesServerUp) {
+  const int k = 8;
+  const long long n = 3000;
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, k, 1.0);
+  std::vector<int> values(n);
+  for (long long i = 0; i < n; ++i) values[i] = static_cast<int>(i % k);
+  Rng root(29);
+  sim::Options encode_options;
+  encode_options.threads = 1;
+  const EncodedStream stream =
+      EncodeScalarLoad(*oracle, values, root, encode_options);
+
+  obs::MetricsRegistry registry;
+  CollectorOptions collector_options;
+  collector_options.lanes = 2;
+  collector_options.metrics = &registry;
+  Collector collector(*oracle, collector_options);
+  ServerOptions server_options;
+  server_options.uds_path = TestSocketPath("hangup_ingest");
+  server_options.admin_uds_path = TestSocketPath("hangup_scrape");
+  server_options.metrics = &registry;
+  IngestServer server(collector, server_options);
+  server.Start();
+  SendOverUds(server_options.uds_path,
+              FrameStreamRecords(stream, 0, n, /*first_user=*/std::nullopt));
+  while (server.counters().sessions.ingest.reports < n) {
+    std::this_thread::yield();
+  }
+
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  // Fewer hang-ups than the server's admin connection cap, so the final
+  // scrape is never shed.
+  for (int trial = 0; trial < 8; ++trial) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, server_options.admin_uds_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    // Hang up the read side first, so the server's response write fails
+    // whichever side wins the race to the socket.
+    ASSERT_EQ(::shutdown(fd, SHUT_RD), 0);
+    ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    ::close(fd);
+  }
+
+  const std::string body = HttpBody(
+      HttpGetOverUds(server_options.admin_uds_path, "/metrics"));
+  server.Stop();
+  const IngestCounters sealed = collector.Drain().tallies;
+  EXPECT_EQ(sealed.reports, n);
+  EXPECT_EQ(SeriesValue(body, "ldpr_ingest_reports_total"), sealed.reports);
+  EXPECT_EQ(SeriesValue(body, "ldpr_ingest_bytes_total"), sealed.bytes);
+  EXPECT_EQ(
+      SeriesValue(body, "ldpr_ingest_rejects_total{reason=\"malformed\"}"),
+      sealed.rejected);
 }
 
 }  // namespace
