@@ -6,8 +6,9 @@
 //                 then a second pass of AccumulateSupport + estimate.
 //   streaming   — BatchRandomize into an Aggregator sink: same RNG stream,
 //                 one reused scratch Report, no report vector.
-//   fused       — Aggregator::AccumulateValue: same RNG stream, no Report
-//                 at all.
+//   fused       — Aggregator::AccumulateValue: same RNG stream; GRR and SS
+//                 tally without a Report, OLH and UE randomize into one
+//                 and stage it for their block kernels.
 //   closed_form — Aggregator::AccumulateHistogram: O(k) RNG draws for the
 //                 whole batch (per-cell distribution-exact).
 //
@@ -101,15 +102,15 @@ void BM_CollectClosedForm(benchmark::State& state, fo::Protocol protocol) {
 }
 
 // Aggregation only, reports pre-materialized: the historical scalar idiom
-// (AccumulateSupport per report) against the staged batch path (Accumulate,
-// which packs each report into a wire-image block and decodes kBlockRows at
-// a time through the same AccumulateWireBlock kernels the serve path uses).
-// Client randomization is outside the timed region, so this isolates what
-// staging buys on the non-wire path: for the UE family the SWAR column sums
-// dwarf the pack cost (order-of-magnitude over per-bit AccumulateSupport);
-// for SS and OLH the block kernels do positional field work the scalar walk
-// already does cheaply, so the wire-image round trip is the measured price
-// of routing every path through one set of pinned kernels.
+// (AccumulateSupport per report) against the aggregator's Accumulate. For
+// the UE family and OLH, Accumulate packs each report into a wire-image
+// block and decodes kBlockRows at a time through the same
+// AccumulateWireBlock kernels the serve path uses; client randomization is
+// outside the timed region, so this isolates what staging buys on the
+// non-wire path: the SWAR column sums and the batched OLH hash sweep are
+// each about an order of magnitude over the per-report scalar walk. SS and
+// GRR keep the scalar walk in Accumulate (packing a wire image cost SS
+// 2.5x), so for them the pair should read equal.
 void BM_AggregateScalar(benchmark::State& state, fo::Protocol protocol) {
   const long long n = state.range(0);
   auto oracle = fo::MakeOracle(protocol, kDomain, 1.0);
@@ -192,7 +193,7 @@ BENCHMARK_CAPTURE(BM_CollectFused, ss, fo::Protocol::kSs)->Arg(1 << 18);
 BENCHMARK_CAPTURE(BM_CollectClosedForm, ss, fo::Protocol::kSs)->Arg(1 << 18);
 
 // Block vs scalar on the batch (non-wire) path: same pre-materialized
-// reports, staged-block Accumulate against per-report AccumulateSupport.
+// reports, the aggregator's Accumulate against per-report AccumulateSupport.
 BENCHMARK_CAPTURE(BM_AggregateScalar, oue, fo::Protocol::kOue)->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_AggregateBlock, oue, fo::Protocol::kOue)->Arg(1 << 20)

@@ -73,9 +73,9 @@ void BM_ServeIngest(benchmark::State& state, fo::Protocol protocol) {
 // its own lane (lanes == producers, IngestStream's shard -> lane mapping),
 // so every thread runs the one-lane decode loop with zero lock contention
 // and cache-line-isolated lane state. items_per_second is the AGGREGATE
-// decoded rate across all producers; `producers` and `scaling_eff` (aggregate
-// rate / producers, i.e. per-producer rate — divide by the /1 run's rate for
-// parallel efficiency) are exported as counters. On a multi-core host the
+// decoded rate across all producers; `producers` and `per_producer_rate`
+// (aggregate rate / producers — divide by the /1 run's rate for parallel
+// efficiency) are exported as counters. On a multi-core host the
 // /8 run must clear 6x the /1 run for GRR and OUE (the issue's bar); on
 // fewer cores than producers the threads time-share and efficiency degrades
 // gracefully without affecting correctness (snapshots stay bit-identical).
@@ -99,7 +99,7 @@ void BM_ServeIngestMT(benchmark::State& state, fo::Protocol protocol,
   }
   state.SetItemsProcessed(state.iterations() * n);
   state.counters["producers"] = producers;
-  state.counters["scaling_eff"] = benchmark::Counter(
+  state.counters["per_producer_rate"] = benchmark::Counter(
       static_cast<double>(state.iterations() * n) / producers,
       benchmark::Counter::kIsRate);
   if (telemetry) benchmark::DoNotOptimize(registry.RenderPrometheus());

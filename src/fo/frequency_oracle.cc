@@ -4,7 +4,6 @@
 
 #include "core/check.h"
 #include "fo/bitslice.h"
-#include "fo/wire.h"
 
 namespace ldpr::fo {
 
@@ -62,8 +61,8 @@ std::vector<double> FrequencyOracle::EstimateFromCounts(
 std::vector<double> FrequencyOracle::EstimateFrequencies(
     const std::vector<int>& values, Rng& rng) const {
   LDPR_REQUIRE(!values.empty(), "EstimateFrequencies requires >= 1 value");
-  // The fused aggregator path consumes `rng` exactly like the historical
-  // Randomize + AccumulateSupport loop, so results are bit-identical.
+  // AccumulateValues consumes `rng` exactly like the historical Randomize +
+  // AccumulateSupport loop, so results are bit-identical.
   std::unique_ptr<Aggregator> agg = MakeAggregator();
   agg->AccumulateValues(values, rng);
   return agg->Estimate();
@@ -79,10 +78,6 @@ void FrequencyOracle::BatchRandomize(const int* values, std::size_t count,
 void FrequencyOracle::BatchRandomize(const std::vector<int>& values, Rng& rng,
                                      const ReportSink& sink) const {
   BatchRandomize(values.data(), values.size(), rng, sink);
-}
-
-std::unique_ptr<Aggregator> FrequencyOracle::MakeAggregator() const {
-  return std::make_unique<Aggregator>(*this);
 }
 
 Aggregator::Aggregator(const FrequencyOracle& oracle)
@@ -168,20 +163,6 @@ long long Aggregator::AccumulateSubsampledHistogram(
   }
   AccumulateHistogram(thinned, rng);
   return total;
-}
-
-void Aggregator::AccumulateWireBlock(const std::uint8_t* frames,
-                                     std::size_t stride, int count) {
-  // Scalar reference path: decode each staged frame like the streaming
-  // ingest loop would. Protocol subclasses override with block kernels that
-  // must stay bit-identical to this.
-  WireDecoder decoder(oracle_);
-  const std::uint8_t* row = frames;
-  for (int r = 0; r < count; ++r, row += stride) {
-    const bool ok = decoder.DecodeInto({row, decoder.report_bytes()}, *this);
-    LDPR_CHECK(ok, "AccumulateWireBlock fed an invalid frame: callers must "
-               "pre-validate (WireDecoder::Validate)");
-  }
 }
 
 void Aggregator::Merge(const Aggregator& other) {

@@ -77,11 +77,11 @@ class FrequencyOracle {
   void BatchRandomize(const std::vector<int>& values, Rng& rng,
                       const ReportSink& sink) const;
 
-  /// Streaming server-side aggregation state for this oracle. Protocol
-  /// subclasses return aggregators whose hot paths are fused and
-  /// allocation-free (GRR/SS count tallies, OLH hashed-support counting,
-  /// SUE/OUE bit-column sums).
-  virtual std::unique_ptr<Aggregator> MakeAggregator() const;
+  /// Streaming server-side aggregation state for this oracle: each protocol
+  /// returns its own Aggregator subclass, which supplies the
+  /// AccumulateWireBlock decode kernel (GRR/SS field tallies, batched OLH
+  /// hashing, UE bit-column sums).
+  virtual std::unique_ptr<Aggregator> MakeAggregator() const = 0;
 
   /// Server side: adds the report's support to `counts` (size k). A value v
   /// is "supported" when the report is consistent with v under the protocol's
@@ -128,10 +128,11 @@ class FrequencyOracle {
 
 /// Streaming server-side aggregator: support counts plus the number of
 /// accumulated reports, nothing else. Feed it reports one at a time
-/// (Accumulate), fused client+server values (AccumulateValue), or whole
-/// true-value histograms (AccumulateHistogram); shard-local aggregators
-/// Merge into one before Estimate. No per-user Report vector is ever
-/// materialized on any of these paths.
+/// (Accumulate), true values to randomize on the fly (AccumulateValue),
+/// blocks of wire frames (AccumulateWireBlock), or whole true-value
+/// histograms (AccumulateHistogram); shard-local aggregators Merge into one
+/// before Estimate. No per-user Report vector is ever materialized on any
+/// of these paths.
 ///
 /// Obtain instances from FrequencyOracle::MakeAggregator(); the oracle must
 /// outlive the aggregator.
@@ -143,20 +144,23 @@ class Aggregator {
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
 
-  /// Server side: folds one report's support into the counts. The UE/SS/OLH
-  /// aggregators override this to *stage* the report — packing its exact
-  /// SerializeReport image into an internal block of wire rows and deferring
-  /// all decode work to their AccumulateWireBlock kernels — so the batch
-  /// (non-wire) path runs at block-kernel speed too. Staging is invisible:
-  /// every read of the state (counts(), n(), Estimate(), Merge() — both
-  /// sides) drains it first, and integer support sums commute, so results
-  /// stay bit-identical to the scalar AccumulateSupport loop wherever the
-  /// flush boundaries fall.
+  /// Server side: folds one report's support into the counts. The base is
+  /// the oracle's scalar AccumulateSupport walk, which GRR (one increment)
+  /// and SS (omega increments) keep because it measures fastest for them.
+  /// The UE and OLH aggregators override it to *stage* the report — packing
+  /// its exact SerializeReport image into an internal block of wire rows and
+  /// deferring all decode work to their AccumulateWireBlock kernels. Staging
+  /// is invisible: every read of the state (counts(), n(), Estimate(),
+  /// Merge() — both sides) drains it first, and integer support sums
+  /// commute, so results stay bit-identical to the scalar AccumulateSupport
+  /// loop wherever the flush boundaries fall.
   virtual void Accumulate(const Report& report);
 
-  /// Fused client + server: randomizes `value` and accumulates its support
-  /// directly. Draws from `rng` exactly like Randomize(value, rng)
-  /// (bit-identical stream); protocol overrides skip the Report entirely.
+  /// Client + server: randomizes `value` and accumulates its support. Draws
+  /// from `rng` exactly like Randomize(value, rng) (bit-identical stream).
+  /// The base runs Randomize then Accumulate, so UE and OLH reach their
+  /// block kernels from here too; GRR and SS override it to tally the
+  /// randomized support directly, skipping the Report.
   virtual void AccumulateValue(int value, Rng& rng);
 
   /// AccumulateValue over a span of values.
@@ -195,13 +199,13 @@ class Aggregator {
   ///   - bitslice::kRowTailSlack readable bytes after the last row
   /// (serve::Collector's staging blocks are laid out exactly like this,
   /// several columns' images side by side in one row).
-  /// Produces bit-identical counts()/n() to `count` scalar
-  /// WireDecoder::DecodeInto calls — the base implementation *is* that
-  /// scalar loop, and protocol overrides (UE bit-column slicing, batched
-  /// OLH hashing, GRR/SS field tallies) are pinned to it by
+  /// Every protocol implements it as a block kernel (GRR/SS field tallies,
+  /// batched OLH hashing, UE bit-column sums), and each produces
+  /// bit-identical counts()/n() to deserializing the `count` frames and
+  /// folding them in with the oracle's scalar AccumulateSupport — pinned by
   /// fo_bitslice_exact_test.
   virtual void AccumulateWireBlock(const std::uint8_t* frames,
-                                   std::size_t stride, int count);
+                                   std::size_t stride, int count) = 0;
 
   /// Folds another aggregator of the same protocol/domain into this one.
   void Merge(const Aggregator& other);

@@ -355,29 +355,6 @@ class OlhAggregator : public Aggregator {
     CommitStagedRow();
   }
 
-  void AccumulateValue(int value, Rng& rng) override {
-    const Olh& olh = static_cast<const Olh&>(oracle_);
-    const int k = olh.k();
-    const int g = olh.g();
-    LDPR_REQUIRE(value >= 0 && value < k, "OLH value out of range");
-    // Same draws as Olh::Randomize, with the server-side preimage walk
-    // fused in.
-    const std::uint64_t seed = rng();
-    UniversalHash h(seed, g);
-    const int hashed = h(value);
-    int reported;
-    if (rng.Bernoulli(olh.p_prime())) {
-      reported = hashed;
-    } else {
-      int other = static_cast<int>(rng.UniformInt(g - 1));
-      reported = other >= hashed ? other + 1 : other;
-    }
-    for (int v = 0; v < k; ++v) {
-      if (h(v) == reported) ++counts_[v];
-    }
-    ++n_;
-  }
-
   void AccumulateWireBlock(const std::uint8_t* frames, std::size_t stride,
                            int count) override {
     // Batched preimage walk. Per block: decode every frame's 64-bit seed

@@ -25,10 +25,7 @@ class SsAggregator : public Aggregator {
  public:
   explicit SsAggregator(const Ss& oracle)
       : Aggregator(oracle),
-        width_(CeilLog2(oracle.k())),
-        frame_bytes_(
-            static_cast<std::size_t>((oracle.omega() * width_ + 7) / 8)),
-        table_(oracle.omega(), width_) {}
+        table_(oracle.omega(), CeilLog2(oracle.k())) {}
 
   void AccumulateValue(int value, Rng& rng) override {
     const Ss& ss = static_cast<const Ss&>(oracle_);
@@ -44,38 +41,6 @@ class SsAggregator : public Aggregator {
       ++counts_[o >= value ? o + 1 : o];
     }
     ++n_;
-  }
-
-  void Accumulate(const Report& report) override {
-    // Stage the subset as its SerializeReport image (width-bit fields packed
-    // MSB-first, zero padding) and defer the tallies to the block kernel.
-    // Same preconditions as Ss::AccumulateSupport; within a row fields need
-    // not be sorted — the kernel tallies them positionally, like the scalar
-    // support walk.
-    const Ss& ss = static_cast<const Ss&>(oracle_);
-    const int k = ss.k();
-    const int omega = ss.omega();
-    LDPR_REQUIRE(static_cast<int>(report.subset.size()) == omega,
-                 "SS report subset size " << report.subset.size()
-                                          << " != omega " << omega);
-    std::uint8_t* row = StageRowSlot(bitslice::RowStride(frame_bytes_));
-    std::uint64_t acc = 0;
-    int acc_bits = 0;  // stays <= 7 + width, so acc never overflows
-    std::size_t out = 0;
-    for (int i = 0; i < omega; ++i) {
-      const int v = report.subset[i];
-      LDPR_REQUIRE(v >= 0 && v < k, "SS subset value out of range");
-      acc = (acc << width_) | static_cast<std::uint64_t>(v);
-      acc_bits += width_;
-      while (acc_bits >= 8) {
-        acc_bits -= 8;
-        row[out++] = static_cast<std::uint8_t>((acc >> acc_bits) & 0xFF);
-      }
-    }
-    if (acc_bits > 0) {
-      row[out] = static_cast<std::uint8_t>((acc << (8 - acc_bits)) & 0xFF);
-    }
-    CommitStagedRow();
   }
 
   void AccumulateWireBlock(const std::uint8_t* frames, std::size_t stride,
@@ -117,8 +82,6 @@ class SsAggregator : public Aggregator {
   }
 
  private:
-  const int width_;
-  const std::size_t frame_bytes_;
   const bitslice::PackedFieldTable table_;
   std::vector<int> scratch_;
 };

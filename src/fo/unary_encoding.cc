@@ -85,20 +85,6 @@ class UeAggregator : public Aggregator {
     CommitStagedRow();
   }
 
-  void AccumulateValue(int value, Rng& rng) override {
-    const int k = oracle_.k();
-    LDPR_REQUIRE(value >= 0 && value < k,
-                 "OneHot value " << value << " outside [0, " << k << ")");
-    // Same ascending per-bit draws as OneHot + PerturbBits, summed into the
-    // columns directly.
-    const double p = oracle_.p();
-    const double q = oracle_.q();
-    for (int i = 0; i < k; ++i) {
-      if (rng.Bernoulli(i == value ? p : q)) ++counts_[i];
-    }
-    ++n_;
-  }
-
   void AccumulateWireBlock(const std::uint8_t* frames, std::size_t stride,
                            int count) override {
     // Bitsliced column sums. The staged rows are one UE bit vector each

@@ -31,8 +31,8 @@ class UnaryEncoding : public FrequencyOracle {
                       const ReportSink& sink) const override;
   using FrequencyOracle::BatchRandomize;
 
-  /// Fused bit-column sums: each sanitized bit is drawn and folded into its
-  /// column count in place — no one-hot input, no output vector, no Report.
+  /// Stages every report's wire image and sums bit columns a block at a
+  /// time (SWAR byte-lane counters).
   std::unique_ptr<Aggregator> MakeAggregator() const override;
 
   /// Applies the bit-flip channel to an arbitrary input bit vector. This is

@@ -101,8 +101,10 @@ Report DeserializeReport(const FrequencyOracle& oracle,
 /// rejects without heap traffic or exceptions: Validate checks a whole
 /// frame and StageField one field of a packed tuple (copying its image into
 /// a staging row), both deferring decode work to the block kernels
-/// (fo::Aggregator::AccumulateWireBlock); DecodeInto is the scalar
-/// decode-and-accumulate reference those kernels are pinned against.
+/// (fo::Aggregator::AccumulateWireBlock); DecodeInto checks and decodes one
+/// frame into a Report and hands it to Aggregator::Accumulate, and is the
+/// accept-set reference Validate is pinned against. (The kernels' count
+/// reference is DeserializeReport plus FrequencyOracle::AccumulateSupport.)
 ///
 /// Acceptance is strict — stricter than DeserializeReport: the buffer must
 /// be exactly the report's width rounded up to whole bytes, the zero-padding

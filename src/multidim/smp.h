@@ -38,7 +38,7 @@ class Smp {
   std::vector<std::vector<double>> Estimate(
       const std::vector<SmpReport>& reports) const;
 
-  /// Streaming shard state: one fused fo::Aggregator per attribute, fed only
+  /// Streaming shard state: one fo::Aggregator per attribute, fed only
   /// by the users that sampled it. AccumulateRecord draws from `rng` exactly
   /// like RandomizeUser (bit-identical stream) without materializing
   /// SmpReports. Used by sim::RunMultidim.

@@ -25,7 +25,7 @@ class Spl {
   std::vector<std::vector<double>> Estimate(
       const std::vector<std::vector<fo::Report>>& reports) const;
 
-  /// Streaming shard state: one fused fo::Aggregator per attribute.
+  /// Streaming shard state: one fo::Aggregator per attribute.
   /// AccumulateRecord draws from `rng` exactly like RandomizeUser
   /// (bit-identical stream) but materializes no reports; shard aggregators
   /// Merge before Estimate. Used by sim::RunMultidim.
