@@ -108,9 +108,11 @@ void BM_CollectClosedForm(benchmark::State& state, fo::Protocol protocol) {
 // AccumulateWireBlock kernels the serve path uses; client randomization is
 // outside the timed region, so this isolates what staging buys on the
 // non-wire path: the SWAR column sums and the batched OLH hash sweep are
-// each about an order of magnitude over the per-report scalar walk. SS and
-// GRR keep the scalar walk in Accumulate (packing a wire image cost SS
-// 2.5x), so for them the pair should read equal.
+// each about an order of magnitude over the per-report scalar walk. SS
+// keeps the scalar walk in Accumulate (packing a wire image cost it 2.5x),
+// so its pair runs the same code, one virtual call apart, and should read
+// equal; BM_AggregateBlock/ss stays as the guard against a return to
+// staging.
 void BM_AggregateScalar(benchmark::State& state, fo::Protocol protocol) {
   const long long n = state.range(0);
   auto oracle = fo::MakeOracle(protocol, kDomain, 1.0);

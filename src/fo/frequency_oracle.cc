@@ -123,6 +123,8 @@ void Aggregator::AccumulateValue(int value, Rng& rng) {
 void Aggregator::AccumulateValues(const int* values, std::size_t count,
                                   Rng& rng) {
   for (std::size_t i = 0; i < count; ++i) AccumulateValue(values[i], rng);
+  FlushStaged();
+  std::vector<std::uint8_t>().swap(staging_);
 }
 
 void Aggregator::AccumulateValues(const std::vector<int>& values, Rng& rng) {

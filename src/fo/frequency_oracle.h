@@ -163,7 +163,9 @@ class Aggregator {
   /// randomized support directly, skipping the Report.
   virtual void AccumulateValue(int value, Rng& rng);
 
-  /// AccumulateValue over a span of values.
+  /// AccumulateValue over a span of values. Ends by draining and freeing
+  /// the staging block, so sim shards do that work on their worker threads
+  /// rather than in the caller's Merge and destructors.
   void AccumulateValues(const int* values, std::size_t count, Rng& rng);
   void AccumulateValues(const std::vector<int>& values, Rng& rng);
 

@@ -69,13 +69,19 @@ std::vector<std::uint8_t> StageRows(
 // Reference support counts from the scalar code alone: each frame is
 // deserialized and folded in by the oracle's AccumulateSupport walk (equality
 // for GRR, the UniversalHash preimage for OLH, subset membership for SS, set
-// bits for UE). No Aggregator takes part, so no block kernel can end up on
-// both sides of a comparison.
+// bits for UE). No Aggregator's counts take part, so no block kernel can end
+// up on both sides of a comparison. Every frame must also pass both wire
+// checks — the block kernels assume Validate ran first, so a generated frame
+// the serve path would reject must fail here, not feed the kernels silently.
 std::vector<long long> ScalarReference(
     const FrequencyOracle& oracle,
     const std::vector<std::vector<std::uint8_t>>& frames) {
+  WireDecoder decoder(oracle);
+  auto decoded = oracle.MakeAggregator();  // DecodeInto's sink, unread
   std::vector<long long> counts(oracle.k(), 0);
   for (const auto& frame : frames) {
+    EXPECT_TRUE(decoder.Validate(frame));
+    EXPECT_TRUE(decoder.DecodeInto(frame, *decoded));
     oracle.AccumulateSupport(DeserializeReport(oracle, frame), &counts);
   }
   return counts;
