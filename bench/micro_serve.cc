@@ -112,7 +112,8 @@ void BM_ServeEpochRoundTrip(benchmark::State& state, fo::Protocol protocol) {
   const long long n = state.range(0);
   auto oracle = fo::MakeOracle(protocol, kDomain, 1.0);
   const serve::EncodedStream stream = MakeStream(*oracle, n);
-  serve::EpochManager manager(*oracle, serve::CollectorOptions{.lanes = 8});
+  serve::LongitudinalCollector manager(
+      *oracle, serve::LongitudinalOptions::FromCollector({.lanes = 8}));
   // collector() is only reachable while an epoch is open: seal an empty
   // epoch up front to read the resolved lane count.
   manager.OpenEpoch();
@@ -136,7 +137,8 @@ void BM_ServeEpochRoundTrip(benchmark::State& state, fo::Protocol protocol) {
 void BM_ServeSeal(benchmark::State& state) {
   auto oracle = fo::MakeOracle(fo::Protocol::kOue, kDomain, 1.0);
   const serve::EncodedStream stream = MakeStream(*oracle, 1 << 12);
-  serve::EpochManager manager(*oracle, serve::CollectorOptions{.lanes = 8});
+  serve::LongitudinalCollector manager(
+      *oracle, serve::LongitudinalOptions::FromCollector({.lanes = 8}));
   manager.OpenEpoch();
   const int lanes = manager.collector().lanes();
   benchmark::DoNotOptimize(manager.Seal());

@@ -62,6 +62,9 @@ struct IngestCounters {
   long long rate_limited = 0;  ///< per-user token bucket empty
   long long shed = 0;          ///< dropped by overload shedding
   long long closed_epoch = 0;  ///< arrived with no epoch open
+  /// Accepted reports a longitudinal gate recognized as memoized replays (a
+  /// subset of `reports`, charged eps = 0; zero everywhere else).
+  long long memoized = 0;
 
   long long TotalRejected() const {
     return rejected + duplicates + rate_limited + shed + closed_epoch;
@@ -75,6 +78,7 @@ struct IngestCounters {
     rate_limited += other.rate_limited;
     shed += other.shed;
     closed_epoch += other.closed_epoch;
+    memoized += other.memoized;
   }
 };
 

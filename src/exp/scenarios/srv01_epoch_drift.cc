@@ -42,7 +42,7 @@ std::vector<double> DriftedTruth(int epoch) {
   return truth;
 }
 
-double SealedMse(serve::EpochManager& manager,
+double SealedMse(const serve::LongitudinalCollector& manager,
                  const std::vector<double>& truth, bool consistent) {
   const serve::EstimateSnapshot& snapshot = manager.snapshots().back();
   return Mse(truth, consistent ? snapshot.consistent : snapshot.frequencies);
@@ -91,9 +91,9 @@ void Run(exp::Context& ctx) {
         std::vector<double> row(4, 0.0);
         for (int p = 0; p < 3; ++p) {
           auto oracle = fo::MakeOracle(protocols[p], kDomain, kEpsilon);
-          serve::CollectorOptions options;
-          options.lanes = 4;
-          serve::EpochManager manager(*oracle, options);
+          serve::LongitudinalOptions options;
+          options.collector.lanes = 4;
+          serve::LongitudinalCollector manager(*oracle, options);
           manager.OpenEpoch();
           if (fast) {
             manager.collector().IngestHistogram(0, histogram, rng);

@@ -1,17 +1,20 @@
 #include "serve/admission.h"
 
-#include "core/check.h"
 #include "core/stats.h"
 
 namespace ldpr::serve {
 
+namespace {
+
+// Shard count of the per-user bucket table.
+constexpr int kShards = 64;
+
+}  // namespace
+
 UserAdmissionTable::UserAdmissionTable(const AdmissionOptions& options)
     : options_(options) {
-  LDPR_REQUIRE(options.shards >= 1,
-               "admission table needs at least one shard, got "
-                   << options.shards);
-  shards_.reserve(options.shards);
-  for (int i = 0; i < options.shards; ++i) {
+  shards_.reserve(kShards);
+  for (int i = 0; i < kShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }

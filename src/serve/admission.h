@@ -86,8 +86,6 @@ struct AdmissionOptions {
   double per_user_rate = 0.0;
   /// Per-user burst allowance (bucket capacity).
   double per_user_burst = 8.0;
-  /// Shard count of the per-user bucket table.
-  int shards = 64;
 };
 
 /// Sharded user -> TokenBucket table: the per-user half of admission

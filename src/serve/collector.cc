@@ -89,8 +89,9 @@ Collector::~Collector() {
 }
 
 IngestResult Collector::Ingest(const IngestRequest& request) {
-  return IngestGated(request,
-                     [](const IngestRequest&) { return RejectReason::kNone; });
+  return IngestGated(request, [](const IngestRequest&, IngestCounters&) {
+    return RejectReason::kNone;
+  });
 }
 
 IngestResult Collector::IngestTuple(const IngestRequest& request,

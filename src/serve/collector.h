@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "core/stats.h"
-#include "fo/consistency.h"
 #include "fo/frequency_oracle.h"
 #include "fo/wire.h"
 #include "obs/metrics.h"
@@ -48,9 +47,6 @@ struct CollectorOptions {
   /// Number of lock-striped ingest lanes; 0 = one per worker thread
   /// (core DefaultThreadCount). Lane count never affects sealed results.
   int lanes = 0;
-  /// Post-processing applied to the snapshot's `consistent` estimate.
-  fo::ConsistencyMethod consistency = fo::ConsistencyMethod::kNormSub;
-  double consistency_threshold = 0.0;
   /// Telemetry sink; nullptr disables instrumentation entirely (the
   /// default, so benchmarks and tests that don't scrape pay nothing).
   /// When set, the collector exports its lane tallies as
@@ -61,19 +57,17 @@ struct CollectorOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Per-epoch ingest statistics, frozen into the snapshot at seal time.
-struct IngestStats {
-  long long reports = 0;   ///< accepted (decoded + accumulated) reports
-  long long bytes = 0;     ///< wire bytes of the accepted reports
-  long long rejected = 0;  ///< malformed buffers cleanly rejected
-  /// Admission-control rejects by reason (zero on surfaces without that
-  /// admission stage; see serve::RejectReason).
-  long long duplicates = 0;    ///< (user, epoch) already delivered a report
-  long long rate_limited = 0;  ///< per-user token bucket empty
-  long long shed = 0;          ///< dropped by overload shedding
-  long long closed_epoch = 0;  ///< arrived with no epoch open
-  double seconds = 0.0;    ///< epoch open -> seal wall time
+/// Per-epoch ingest statistics, frozen into the snapshot at seal time: the
+/// epoch's drained lane tallies plus its wall time.
+struct IngestStats : IngestCounters {
+  double seconds = 0.0;             ///< epoch open -> seal wall time
   double reports_per_second = 0.0;  ///< reports / seconds (0 if degenerate)
+
+  static IngestStats Over(const IngestCounters& tallies, double seconds) {
+    return {tallies, seconds,
+            seconds > 0.0 ? static_cast<double>(tallies.reports) / seconds
+                          : 0.0};
+  }
 };
 
 /// Immutable estimate of one sealed epoch.
@@ -82,7 +76,7 @@ struct EstimateSnapshot {
   long long n = 0;                  ///< accepted reports in the epoch
   std::vector<long long> counts;    ///< merged support counts, size k
   std::vector<double> frequencies;  ///< raw Eq. (2) estimate
-  std::vector<double> consistent;   ///< consistency post-processed estimate
+  std::vector<double> consistent;   ///< Norm-Sub post-processed estimate
   IngestStats stats;
   /// Realized budget of this epoch alone: fresh randomizations charged eps,
   /// recognized replays charged 0 (filled at seal by the longitudinal
@@ -114,14 +108,16 @@ class Collector final : public IngestSink {
   /// admission rule, so request.user is accepted unclassified.
   IngestResult Ingest(const IngestRequest& request) override;
 
-  /// Ingest with an admission gate: `gate(request)` runs under the lane
-  /// mutex after frame validation and before staging, returning the
+  /// Ingest with an admission gate: `gate(request, tallies)` runs under the
+  /// lane mutex after frame validation and before staging, returning the
   /// RejectReason to refuse with (kNone admits). Validation first means a
   /// malformed frame is always kMalformed, whatever the gate would say; the
   /// gate running pre-staging means a refused frame never reaches an
-  /// aggregator. This is the extension point the longitudinal pipeline's
-  /// duplicate classification plugs into; gates must not touch this lane
-  /// (the mutex is held) and must order any locks of their own after it.
+  /// aggregator. `tallies` are the lane's own: whatever the gate counts
+  /// there drains at the same cut as the lane's counts. This is the
+  /// extension point the longitudinal pipeline's epoch and replay
+  /// classification plugs into; gates must not touch the lane otherwise
+  /// (its mutex is held) and must order any locks of their own after it.
   template <typename Gate>
   IngestResult IngestGated(const IngestRequest& request, Gate&& gate) {
     Lane& lane = LaneFor(request.lane);
@@ -130,7 +126,7 @@ class Collector final : public IngestSink {
     if (!block.columns.front().decoder.Validate(request.frame)) {
       return Reject(lane, RejectReason::kMalformed);
     }
-    const RejectReason verdict = gate(request);
+    const RejectReason verdict = gate(request, lane.tallies);
     if (verdict != RejectReason::kNone) return Reject(lane, verdict);
     // Stage the admitted frame; all decode work happens at flush
     // (AccumulateWireBlock) when the block fills or the epoch seals.
@@ -282,8 +278,8 @@ class Collector final : public IngestSink {
   std::unique_ptr<Obs> obs_;
 };
 
-// The epoch lifecycle (EpochManager) lives in serve/longitudinal.h: it is a
-// LongitudinalCollector on the fixed one-epoch schedule.
+// The epoch lifecycle over a Collector is serve::LongitudinalCollector
+// (serve/longitudinal.h).
 
 }  // namespace ldpr::serve
 

@@ -233,18 +233,6 @@ long long IngestStream(Collector& collector, const EncodedStream& stream,
   });
 }
 
-MtIngestResult IngestStreamMt(Collector& collector,
-                              const EncodedStream& stream, int producers) {
-  LDPR_REQUIRE(producers >= 1, "multi-producer ingest needs >= 1 producer");
-  MtIngestResult out;
-  const double start = MonotonicSeconds();
-  out.accepted = IngestStream(collector, stream, producers);
-  out.seconds = MonotonicSeconds() - start;
-  out.reports_per_second =
-      out.seconds > 0.0 ? static_cast<double>(out.accepted) / out.seconds : 0.0;
-  return out;
-}
-
 long long IngestFrames(MultidimCollector& collector,
                        const EncodedFrames& frames, int threads) {
   return IngestSharded(collector, frames.count(), threads, [&](long long i) {
@@ -290,13 +278,8 @@ namespace {
 void SendAll(int fd, std::span<const std::uint8_t> bytes, const char* what) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-#ifdef MSG_NOSIGNAL
-                             MSG_NOSIGNAL
-#else
-                             0
-#endif
-    );
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       const int err = errno;

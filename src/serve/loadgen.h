@@ -85,22 +85,6 @@ EncodedFrames EncodeRsRfdLoad(const multidim::RsRfd& rsrfd,
 long long IngestStream(Collector& collector, const EncodedStream& stream,
                        int threads = 0);
 
-/// One timed run of the multi-producer ingest harness.
-struct MtIngestResult {
-  long long accepted = 0;
-  double seconds = 0.0;
-  double reports_per_second = 0.0;  ///< aggregate across all producers
-};
-
-/// Multi-producer ingest harness: `producers` real threads, each pinned to
-/// a disjoint set of the collector's lanes (IngestStream's shard -> lane
-/// mapping, one contiguous shard range per worker), with the wall-clock of
-/// the whole fan-out measured — the aggregate decoded-reports/s number the
-/// MT benchmarks and serve-demo report. Give the collector at least
-/// `producers` lanes or producers will share lanes (still correct, just
-/// contended).
-MtIngestResult IngestStreamMt(Collector& collector,
-                              const EncodedStream& stream, int producers);
 long long IngestFrames(MultidimCollector& collector,
                        const EncodedFrames& frames, int threads = 0);
 

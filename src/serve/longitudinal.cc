@@ -6,6 +6,7 @@
 
 #include "core/check.h"
 #include "core/hash.h"
+#include "fo/consistency.h"
 #include "obs/span.h"
 
 namespace ldpr::serve {
@@ -15,6 +16,10 @@ namespace {
 // Fixed seed: frame hashes only need to agree with themselves within one
 // replay table.
 constexpr std::uint64_t kFrameHashSeed = 0x1d9ULL;
+
+// Replay-table shard count. Fixed (not tied to lane or thread count), so
+// shard assignment depends only on the user id.
+constexpr int kUserShards = 64;
 
 }  // namespace
 
@@ -50,7 +55,7 @@ UserReplayTable::UserReplayTable(int shards) {
 
 UserReplayTable::FrameClass UserReplayTable::Classify(
     long long user, std::span<const std::uint8_t> frame, long long epoch,
-    bool trust_replays, bool one_per_epoch) {
+    bool trust_replays) {
   Shard& shard = *shards_[static_cast<std::size_t>(
       (user % static_cast<long long>(shards_.size()) +
        static_cast<long long>(shards_.size())) %
@@ -61,7 +66,7 @@ UserReplayTable::FrameClass UserReplayTable::Classify(
   // with the user's state untouched — it neither records a hash nor moves
   // last_epoch, so the user's NEXT epoch classifies exactly as if the
   // duplicate had never arrived.
-  if (one_per_epoch && entry.last_epoch == epoch) {
+  if (entry.last_epoch == epoch) {
     return FrameClass::kDuplicate;
   }
   entry.last_epoch = epoch;
@@ -70,27 +75,12 @@ UserReplayTable::FrameClass UserReplayTable::Classify(
         XxHash64(frame.data(), frame.size(), kFrameHashSeed);
     if (std::find(entry.hashes.begin(), entry.hashes.end(), hash) !=
         entry.hashes.end()) {
-      ++shard.epoch_memoized;
       return FrameClass::kMemoized;
     }
     entry.hashes.push_back(hash);
   }
   ++entry.fresh;
-  ++shard.epoch_fresh;
   return FrameClass::kFresh;
-}
-
-UserReplayTable::EpochTallies UserReplayTable::SealEpoch() {
-  EpochTallies tallies;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> guard(shard.mutex);
-    tallies.fresh += shard.epoch_fresh;
-    tallies.memoized += shard.epoch_memoized;
-    shard.epoch_fresh = 0;
-    shard.epoch_memoized = 0;
-  }
-  return tallies;
 }
 
 UserReplayTable::UserStats UserReplayTable::Scan() const {
@@ -111,7 +101,7 @@ LongitudinalCollector::LongitudinalCollector(
     const fo::FrequencyOracle& oracle, const LongitudinalOptions& options)
     : options_(options),
       collector_(oracle, options.collector),
-      users_(options.user_shards) {
+      users_(kUserShards) {
   window_counts_.assign(oracle.k(), 0);
   if (obs::MetricsRegistry* reg = options.collector.metrics) {
     obs_ = std::make_unique<Obs>();
@@ -152,95 +142,81 @@ LongitudinalCollector::LongitudinalCollector(
 }
 
 long long LongitudinalCollector::OpenEpoch() {
-  LDPR_REQUIRE(!open_, "cannot open an epoch while epoch "
-                           << next_epoch_ - 1 << " is still ingesting");
-  open_ = true;
+  LDPR_REQUIRE(!open(), "cannot open an epoch while epoch "
+                            << next_epoch_ - 1 << " is still ingesting");
   opened_at_ = MonotonicSeconds();
   if (obs_) obs_->epoch_open->Set(1);
+  open_epoch_.store(next_epoch_);
   return next_epoch_++;
 }
 
 Collector& LongitudinalCollector::collector() {
-  LDPR_REQUIRE(open_, "ingest requires an open epoch (OpenEpoch first)");
+  LDPR_REQUIRE(open(), "ingest requires an open epoch (OpenEpoch first)");
   return collector_;
 }
 
 IngestResult LongitudinalCollector::Ingest(const IngestRequest& request) {
-  if (!open_) {
-    closed_epoch_rejects_.fetch_add(1, std::memory_order_relaxed);
-    return IngestResult::Rejected(RejectReason::kClosedEpoch);
-  }
-  if (!request.user.has_value() || !options_.track_users) {
-    return collector_.Ingest(request);
-  }
-  // Classification doubles as the admission gate: it runs under the lane
-  // mutex after frame validation (so a malformed frame is kMalformed, never
-  // kDuplicate, and a refused duplicate reaches no aggregator) and takes
-  // the replay-table shard mutex strictly inside the lane mutex.
-  const long long epoch = next_epoch_ - 1;
-  return collector_.IngestGated(request, [&](const IngestRequest& r) {
-    const UserReplayTable::FrameClass verdict =
-        users_.Classify(*r.user, r.frame, epoch,
-                        options_.memoized_replays_free,
-                        options_.one_report_per_epoch);
-    return verdict == UserReplayTable::FrameClass::kDuplicate
-               ? RejectReason::kDuplicate
-               : RejectReason::kNone;
-  });
+  // The gate runs under the lane mutex after frame validation (so a
+  // malformed frame is kMalformed, never kDuplicate, and a refused frame
+  // reaches no aggregator) and takes the replay-table shard mutex strictly
+  // inside the lane mutex.
+  return collector_.IngestGated(
+      request, [this](const IngestRequest& r, IngestCounters& tallies) {
+        const long long epoch = open_epoch_.load();
+        if (epoch < 0) return RejectReason::kClosedEpoch;
+        if (!r.user.has_value()) return RejectReason::kNone;
+        switch (users_.Classify(*r.user, r.frame, epoch,
+                                options_.memoized_replays_free)) {
+          case UserReplayTable::FrameClass::kDuplicate:
+            return RejectReason::kDuplicate;
+          case UserReplayTable::FrameClass::kMemoized:
+            ++tallies.memoized;
+            break;
+          case UserReplayTable::FrameClass::kFresh:
+            break;
+        }
+        return RejectReason::kNone;
+      });
 }
 
 const EstimateSnapshot& LongitudinalCollector::Seal() {
-  LDPR_REQUIRE(open_, "no open epoch to seal");
+  const long long epoch = open_epoch_.load();
+  LDPR_REQUIRE(epoch >= 0, "no open epoch to seal");
   obs::Span seal_span(obs_ ? obs_->seal_seconds.get() : nullptr);
+  // Close before draining: a producer that takes a lane mutex after the
+  // drain passed that lane reads -1 and is refused kClosedEpoch, so nothing
+  // classified into this epoch can miss its drain.
+  open_epoch_.store(-1);
   const double seconds = MonotonicSeconds() - opened_at_;
   const fo::FrequencyOracle& oracle = collector_.oracle();
   Collector::Drained drained = collector_.Drain();
 
   EstimateSnapshot snapshot;
-  snapshot.epoch = next_epoch_ - 1;
+  snapshot.epoch = epoch;
   snapshot.n = drained.n;
   snapshot.counts = std::move(drained.counts);
   if (drained.n > 0) {
     snapshot.frequencies =
         oracle.EstimateFromCounts(snapshot.counts, drained.n);
-    snapshot.consistent = fo::MakeConsistent(
-        snapshot.frequencies, collector_.options().consistency,
-        collector_.options().consistency_threshold);
+    snapshot.consistent = fo::NormSub(snapshot.frequencies);
   }
-  snapshot.stats.reports = drained.tallies.reports;
-  snapshot.stats.bytes = drained.tallies.bytes;
-  snapshot.stats.rejected = drained.tallies.rejected;
-  snapshot.stats.duplicates = drained.tallies.duplicates;
-  snapshot.stats.rate_limited = drained.tallies.rate_limited;
-  snapshot.stats.shed = drained.tallies.shed;
-  snapshot.stats.closed_epoch =
-      drained.tallies.closed_epoch +
-      closed_epoch_rejects_.exchange(0, std::memory_order_relaxed);
-  snapshot.stats.seconds = seconds;
-  snapshot.stats.reports_per_second =
-      seconds > 0.0 ? static_cast<double>(drained.tallies.reports) / seconds
-                    : 0.0;
+  snapshot.stats = IngestStats::Over(drained.tallies, seconds);
 
-  // Ledger: replays recognized by the table are charged 0; everything else
-  // accepted this epoch (classified fresh or ingested without a user id) is
-  // a fresh eps-LDP randomization of the one served attribute.
-  const UserReplayTable::EpochTallies tallies = users_.SealEpoch();
-  const long long anonymous =
-      drained.tallies.reports - tallies.fresh - tallies.memoized;
-  LDPR_CHECK(anonymous >= 0, "replay table classified more reports ("
-                                 << tallies.fresh + tallies.memoized
-                                 << ") than were accepted ("
-                                 << drained.tallies.reports << ")");
-  const long long epoch_fresh = tallies.fresh + anonymous;
+  // Ledger: replays the gate recognized are charged 0; everything else
+  // accepted this epoch (classified fresh or anonymous) is a fresh eps-LDP
+  // randomization of the one served attribute. Both come from the same
+  // drain, so they can never disagree.
+  const long long epoch_memoized = drained.tallies.memoized;
+  const long long epoch_fresh = drained.tallies.reports - epoch_memoized;
   const double epsilon = oracle.epsilon();
   {
     privacy::Accountant epoch_ledger(/*d=*/1);
     epoch_ledger.RecordSmpBulk(0, epsilon, epoch_fresh);
-    epoch_ledger.RecordMemoized(tallies.memoized);
+    epoch_ledger.RecordMemoized(epoch_memoized);
     snapshot.ledger = epoch_ledger.MakeReport();
   }
   cumulative_fresh_ += epoch_fresh;
-  cumulative_memoized_ += tallies.memoized;
+  cumulative_memoized_ += epoch_memoized;
   {
     // Rebuilt from integer totals every seal: one multiply, no accumulated
     // float-addition order dependence.
@@ -291,9 +267,7 @@ const EstimateSnapshot& LongitudinalCollector::Seal() {
     if (window_n_ > 0) {
       window.frequencies =
           oracle.EstimateFromCounts(window.counts, window_n_);
-      window.consistent = fo::MakeConsistent(
-          window.frequencies, collector_.options().consistency,
-          collector_.options().consistency_threshold);
+      window.consistent = fo::NormSub(window.frequencies);
     }
     windows_.push_back(std::move(window));
     if (options_.history_cap > 0 && windows_.size() > options_.history_cap) {
@@ -303,7 +277,6 @@ const EstimateSnapshot& LongitudinalCollector::Seal() {
 
   window_span.Stop();
 
-  open_ = false;
   history_.push_back(std::move(snapshot));
   if (options_.history_cap > 0 && history_.size() > options_.history_cap) {
     history_.pop_front();

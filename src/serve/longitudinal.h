@@ -14,21 +14,23 @@
 //     Counts are integers, so the delta path is bit-identical to
 //     recomputing each window from scratch (serve_longitudinal_test pins
 //     this);
-//   * a sharded per-user replay table: every accepted frame ingested via
-//     IngestUser is hashed and checked against the user's earlier frames.
-//     A frame already seen from that user is a memoized replay of a
-//     RAPPOR-style permanent answer — it still counts toward the estimate
-//     (the server cannot tell a replay apart statistically, only
-//     ledger-wise) but is charged eps = 0;
-//   * per-shard privacy ledgers, merged at seal through privacy::Accountant
-//     into the per-epoch and cumulative LedgerReport exposed on every
-//     EstimateSnapshot. Ledgers are kept as integer fresh/memoized tallies
-//     and converted to eps by one bulk multiply at seal, so the reported
-//     budgets are exact and LDPR_THREADS/lane-count independent.
+//   * a sharded per-user replay table: every accepted attributed frame is
+//     hashed and checked against the user's earlier frames. A frame already
+//     seen from that user is a memoized replay of a RAPPOR-style permanent
+//     answer — it still counts toward the estimate (the server cannot tell
+//     a replay apart statistically, only ledger-wise) but is charged
+//     eps = 0;
+//   * the cumulative privacy ledger, rebuilt at every seal through
+//     privacy::Accountant from integer fresh/memoized totals and converted
+//     to eps by one bulk multiply, so the reported budgets are exact and
+//     LDPR_THREADS/lane-count independent.
 //
-// EpochManager — the legacy seal-and-forget lifecycle — is a
-// LongitudinalCollector on the fixed one-epoch schedule and lives at the
-// bottom of this header.
+// The epoch boundary is one decision: every ingest passes one gate under
+// its lane mutex that reads the open epoch, and the gate counts its
+// verdicts (accepted, memoized, duplicate, closed-epoch) in the lane's own
+// tallies. Seal() closes the epoch and then drains the lanes, so an epoch's
+// counts, rejects and ledger are cut at the same instant per lane — exact
+// even while producers keep ingesting across the seal.
 
 #include <atomic>
 #include <cstddef>
@@ -53,9 +55,6 @@ struct LongitudinalOptions {
   /// are evicted oldest-first. 0 = unbounded (the legacy behavior; sealed
   /// snapshot references then stay valid for the collector's lifetime).
   std::size_t history_cap = 0;
-  /// Classify IngestUser frames against the replay table. Off, every
-  /// accepted report is charged as a fresh randomization.
-  bool track_users = true;
   /// Charge recognized replays eps = 0. Sound only when clients follow the
   /// memoization contract: an identical frame then is a replayed permanent
   /// answer, not an accidental collision of a fresh randomization (for
@@ -64,26 +63,18 @@ struct LongitudinalOptions {
   /// report is charged fresh while per-user totals are still tracked, so
   /// the cumulative budget grows exactly linearly in the rounds.
   bool memoized_replays_free = true;
-  /// Shard count of the replay table. Fixed (not tied to lane or thread
-  /// count) so ledger tallies merge identically under any LDPR_THREADS.
-  int user_shards = 64;
-  /// Enforce the paper's collection contract server-side: a user's second
-  /// report within one epoch is rejected kDuplicate (counted, never
-  /// aggregated). The same frame in a LATER epoch is still a memoized
-  /// replay, and anonymous frames are never subject to the check. Off, the
-  /// legacy behavior: every accepted frame aggregates, replays only affect
-  /// the ledger.
-  bool one_report_per_epoch = true;
 
-  /// The one place CollectorOptions embeds into LongitudinalOptions
-  /// (EpochManager and the CLI both construct through here). Copies the
-  /// whole struct, so a new CollectorOptions field can never silently
-  /// default — the sizeof tripwire below forces a look at this function
-  /// whenever the struct grows.
+  /// The one place CollectorOptions embeds into LongitudinalOptions (the
+  /// CLI and the one-epoch-per-window callers construct through here).
+  /// Copies the whole struct, so a new CollectorOptions field can never
+  /// silently default — the sizeof tripwire below forces a look at this
+  /// function whenever the struct grows.
   static LongitudinalOptions FromCollector(const CollectorOptions& collector) {
-    static_assert(sizeof(CollectorOptions) ==
-                      sizeof(int) + sizeof(fo::ConsistencyMethod) +
-                          sizeof(double) + sizeof(obs::MetricsRegistry*),
+    struct Shape {
+      int lanes;
+      obs::MetricsRegistry* metrics;
+    };
+    static_assert(sizeof(CollectorOptions) == sizeof(Shape),
                   "CollectorOptions changed shape: confirm "
                   "LongitudinalOptions::FromCollector (whole-struct copy) "
                   "still covers every field, then update this tripwire");
@@ -94,7 +85,7 @@ struct LongitudinalOptions {
 };
 
 /// One completed estimation window: the union of `length` consecutive
-/// epochs' accepted reports, estimated with the same Eq. (2) + consistency
+/// epochs' accepted reports, estimated with the same Eq. (2) + Norm-Sub
 /// arithmetic as a single epoch.
 struct WindowSnapshot {
   long long window = -1;
@@ -103,7 +94,7 @@ struct WindowSnapshot {
   long long n = 0;                  ///< accepted reports across the window
   std::vector<long long> counts;    ///< summed support counts, size k
   std::vector<double> frequencies;  ///< raw Eq. (2) estimate
-  std::vector<double> consistent;   ///< consistency post-processed estimate
+  std::vector<double> consistent;   ///< Norm-Sub post-processed estimate
 };
 
 /// Count/frequency difference between two sealed epochs (newer - older).
@@ -135,22 +126,14 @@ class UserReplayTable {
     kDuplicate  ///< second report within `epoch`: inadmissible, not recorded
   };
 
-  /// Classifies one frame from `user` arriving in `epoch`. With
-  /// `one_per_epoch`, a user already recorded in this epoch classifies
-  /// kDuplicate and nothing is recorded — the caller must not aggregate it.
-  /// With `trust_replays` false the replay (hash) check is skipped and every
-  /// admitted frame counts fresh (no hashes stored); the per-epoch check is
-  /// independent of it. Epochs must be presented non-decreasing per user.
+  /// Classifies one frame from `user` arriving in `epoch`. A user already
+  /// recorded in this epoch classifies kDuplicate and nothing is recorded —
+  /// the caller must not aggregate it. With `trust_replays` false the
+  /// replay (hash) check is skipped and every admitted frame counts fresh
+  /// (no hashes stored); the per-epoch check is independent of it. Epochs
+  /// must be presented non-decreasing per user.
   FrameClass Classify(long long user, std::span<const std::uint8_t> frame,
-                      long long epoch, bool trust_replays = true,
-                      bool one_per_epoch = true);
-
-  struct EpochTallies {
-    long long fresh = 0;
-    long long memoized = 0;
-  };
-  /// Merges and resets the per-shard epoch tallies (called at seal).
-  EpochTallies SealEpoch();
+                      long long epoch, bool trust_replays = true);
 
   struct UserStats {
     long long users = 0;        ///< distinct users ever classified
@@ -169,8 +152,6 @@ class UserReplayTable {
   struct Shard {
     mutable std::mutex mutex;
     std::unordered_map<long long, User> users;
-    long long epoch_fresh = 0;
-    long long epoch_memoized = 0;
   };
 
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -183,34 +164,40 @@ class LongitudinalCollector final : public IngestSink {
   explicit LongitudinalCollector(const fo::FrequencyOracle& oracle,
                                  const LongitudinalOptions& options = {});
 
-  /// Opens the next epoch; requires the previous one to be sealed.
-  /// Returns the new epoch id (0, 1, ...).
+  /// Opens the next epoch; requires the previous one to be sealed. Owner
+  /// thread only (like Seal). Returns the new epoch id (0, 1, ...).
   long long OpenEpoch();
 
-  bool open() const { return open_; }
+  bool open() const { return open_epoch_.load() >= 0; }
 
-  /// The live collector producers ingest into; requires an open epoch.
-  /// Reports ingested directly (without a user id) are charged as fresh.
+  /// The live collector; requires an open epoch. Reports ingested into it
+  /// directly bypass the epoch gate and are charged as fresh.
   Collector& collector();
 
-  /// Ingests one wire frame. Attributed requests (request.user set, with
-  /// track_users on) are classified against the user's history under the
-  /// lane mutex: a second report from that user within the open epoch is
-  /// rejected kDuplicate before it reaches any aggregator (when
-  /// one_report_per_epoch is on), an identical frame from an earlier epoch
-  /// is a memoized replay (accepted, charged eps = 0), anything else is a
-  /// fresh randomization. Anonymous requests skip classification. With no
-  /// epoch open every request is rejected kClosedEpoch (counted into the
-  /// NEXT sealed epoch's stats) — never thrown, so a socket transport can
-  /// keep draining between epochs.
+  /// Ingests one wire frame through the epoch gate, which runs under the
+  /// lane mutex after frame validation. With no epoch open the frame is
+  /// rejected kClosedEpoch — counted in the lane tallies like every other
+  /// reject, so it lands in the next sealed epoch's stats and in the live
+  /// scrape — never thrown, so a socket transport can keep draining
+  /// between epochs. An attributed frame (request.user set) is then
+  /// classified against the user's history: a second report from that
+  /// user within the open epoch is rejected kDuplicate before it reaches
+  /// any aggregator, an identical frame from an earlier epoch is a memoized
+  /// replay (accepted, charged eps = 0), anything else is a fresh
+  /// randomization. Anonymous frames skip classification and are charged
+  /// fresh. Thread-safe alongside Seal() and OpenEpoch().
   IngestResult Ingest(const IngestRequest& request) override;
 
-  /// Seals the open epoch: merges the lanes, estimates (raw + consistency
-  /// post-processing), merges the replay-table shard ledgers into the
-  /// epoch's and the cumulative LedgerReport, advances the window delta
-  /// state, and archives the snapshot. O(lanes * k + user_shards)
-  /// regardless of how many reports were ingested. The returned reference
-  /// stays valid until history_cap evictions (forever when the cap is 0).
+  /// Seals the open epoch: closes it, drains the lanes, estimates (raw +
+  /// Norm-Sub), charges the epoch's fresh (accepted - memoized) reports in
+  /// the epoch's and the cumulative LedgerReport, advances the window delta
+  /// state, and archives the snapshot. Owner thread only; producers may
+  /// keep ingesting (frames that find the epoch closed are kClosedEpoch
+  /// rejects). Cost: O(lanes * k) for the lanes plus an O(users) walk of
+  /// the replay table for the per-user ledger fields
+  /// (UserReplayTable::Scan), regardless of how many reports this epoch
+  /// ingested. The returned reference stays valid until history_cap
+  /// evictions (forever when the cap is 0).
   const EstimateSnapshot& Seal();
 
   /// Sealed epochs, oldest first (bounded by history_cap).
@@ -267,43 +254,13 @@ class LongitudinalCollector final : public IngestSink {
   };
   std::unique_ptr<Obs> obs_;
 
-  bool open_ = false;
+  /// The open epoch's id, -1 while closed. Written by the owner only;
+  /// producers read it in the gate under a lane mutex, and Seal() stores -1
+  /// before it takes any lane mutex to drain, so every frame a lane
+  /// admitted before the drain belongs to the epoch being sealed.
+  std::atomic<long long> open_epoch_{-1};
   long long next_epoch_ = 0;
   double opened_at_ = 0.0;
-  /// kClosedEpoch rejects since the last seal (they arrive outside any
-  /// epoch, so they fold into the next sealed snapshot's stats).
-  std::atomic<long long> closed_epoch_rejects_{0};
-};
-
-/// Legacy epoch lifecycle: open -> ingest -> seal -> snapshot with every
-/// epoch its own window. Kept as the ergonomic front door for callers that
-/// seal independent rounds; the longitudinal state (ledgers, windows,
-/// replay table) is reachable through longitudinal().
-class EpochManager {
- public:
-  explicit EpochManager(const fo::FrequencyOracle& oracle,
-                        const CollectorOptions& options = {})
-      : longitudinal_(oracle, LongitudinalOptions::FromCollector(options)) {}
-  EpochManager(const fo::FrequencyOracle& oracle,
-               const LongitudinalOptions& options)
-      : longitudinal_(oracle, options) {}
-
-  long long OpenEpoch() { return longitudinal_.OpenEpoch(); }
-  bool open() const { return longitudinal_.open(); }
-  Collector& collector() { return longitudinal_.collector(); }
-  const EstimateSnapshot& Seal() { return longitudinal_.Seal(); }
-  const std::deque<EstimateSnapshot>& snapshots() const {
-    return longitudinal_.snapshots();
-  }
-  const fo::FrequencyOracle& oracle() const { return longitudinal_.oracle(); }
-  std::size_t report_bytes() const { return longitudinal_.report_bytes(); }
-  int lanes() const { return longitudinal_.lanes(); }
-
-  LongitudinalCollector& longitudinal() { return longitudinal_; }
-  const LongitudinalCollector& longitudinal() const { return longitudinal_; }
-
- private:
-  LongitudinalCollector longitudinal_;
 };
 
 }  // namespace ldpr::serve

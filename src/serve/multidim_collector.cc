@@ -134,7 +134,7 @@ MultidimSnapshot MultidimCollector::Seal() {
   const double now = MonotonicSeconds();
   MultidimSnapshot snapshot;
   snapshot.epoch = next_epoch_++;
-  snapshot.stats.seconds = now - opened_at_;
+  const double seconds = now - opened_at_;
   opened_at_ = now;
 
   std::vector<std::vector<long long>> counts(d());
@@ -145,9 +145,7 @@ MultidimSnapshot MultidimCollector::Seal() {
     // and regrew it on every seal.
     const Collector::Drained drained = collector_.Drain();
     snapshot.n = drained.n;
-    snapshot.stats.reports = drained.tallies.reports;
-    snapshot.stats.bytes = drained.tallies.bytes;
-    snapshot.stats.rejected = drained.tallies.rejected;
+    snapshot.stats = IngestStats::Over(drained.tallies, seconds);
     // Whether one UE column spans every attribute or each attribute has
     // its own column, the drained counts run attribute after attribute.
     auto next = drained.counts.begin();
@@ -189,12 +187,6 @@ MultidimSnapshot MultidimCollector::Seal() {
         break;
     }
   }
-
-  snapshot.stats.reports_per_second =
-      snapshot.stats.seconds > 0.0
-          ? static_cast<double>(snapshot.stats.reports) /
-                snapshot.stats.seconds
-          : 0.0;
 
   cumulative_n_ += snapshot.n;
   for (int j = 0; j < d(); ++j) cumulative_attr_n_[j] += attr_n[j];

@@ -44,10 +44,10 @@ struct MultidimSnapshot {
 
 class MultidimCollector final : public IngestSink {
  public:
-  /// The solution object must outlive the collector. `options.consistency`
-  /// is unused here (the multidim estimators are already unbiased per
-  /// attribute; post-processing stays a caller concern); `options.metrics`
-  /// exports the underlying Collector's telemetry, counted in tuples.
+  /// The solution object must outlive the collector. The estimates are the
+  /// solutions' unbiased per-attribute ones (post-processing stays a
+  /// caller concern); `options.metrics` exports the underlying Collector's
+  /// telemetry, counted in tuples.
   MultidimCollector(const multidim::Spl& spl,
                     const CollectorOptions& options = {});
   MultidimCollector(const multidim::Smp& smp,

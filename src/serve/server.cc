@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -12,11 +11,8 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <map>
 
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
 
 #include "core/check.h"
 #include "obs/http.h"
@@ -76,6 +72,9 @@ int BindTcpListener(int port, int* resolved_port) {
   return fd;
 }
 
+/// read(2) chunk size per readable connection per loop iteration.
+constexpr std::size_t kReadChunk = 64 << 10;
+
 /// Admin connections a single server tolerates at once — scrapers, not
 /// users; beyond this an accept is refused outright.
 constexpr std::size_t kMaxAdminConnections = 16;
@@ -104,14 +103,13 @@ struct IngestServer::AdminConnection {
   bool responding = false;  ///< request complete, response being drained
 };
 
-/// Readiness notification behind one interface: epoll(7) on Linux, poll(2)
-/// elsewhere. Ingest connections only ever track read interest (the server
-/// writes nothing at them); admin connections flip to write interest while
-/// a response drains. A registered fd with all interest off still reports
-/// hangups/errors, so a paused connection's death is noticed.
+/// Readiness notification over epoll(7). Ingest connections only ever
+/// track read interest (the server writes nothing at them); admin
+/// connections flip to write interest while a response drains. A registered
+/// fd with all interest off still reports hangups/errors, so a paused
+/// connection's death is noticed.
 class IngestServer::Poller {
  public:
-#ifdef __linux__
   Poller() : epoll_fd_(::epoll_create1(0)) {
     LDPR_CHECK(epoll_fd_ >= 0,
                "epoll_create1 failed: " << std::strerror(errno));
@@ -148,34 +146,6 @@ class IngestServer::Poller {
 
  private:
   int epoll_fd_;
-#else
-  void Add(int fd) { interest_[fd] = POLLIN; }
-  void SetInterest(int fd, bool read, bool write) {
-    interest_[fd] = static_cast<short>((read ? POLLIN : 0) |
-                                       (write ? POLLOUT : 0));
-  }
-  void SetWantRead(int fd, bool want) { SetInterest(fd, want, false); }
-  void Remove(int fd) { interest_.erase(fd); }
-
-  void Wait(int timeout_ms, std::vector<int>& ready) {
-    ready.clear();
-    std::vector<pollfd> fds;
-    fds.reserve(interest_.size());
-    for (const auto& [fd, events] : interest_) {
-      fds.push_back(pollfd{fd, events, 0});
-    }
-    const int n = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (n <= 0) return;
-    for (const pollfd& p : fds) {
-      if (p.revents & (POLLIN | POLLOUT | POLLHUP | POLLERR | POLLNVAL)) {
-        ready.push_back(p.fd);
-      }
-    }
-  }
-
- private:
-  std::map<int, short> interest_;
-#endif
 };
 
 IngestServer::IngestServer(IngestSink& sink, const ServerOptions& options)
@@ -183,7 +153,7 @@ IngestServer::IngestServer(IngestSink& sink, const ServerOptions& options)
   if (options_.admission.per_user_rate > 0.0) {
     users_ = std::make_unique<UserAdmissionTable>(options_.admission);
   }
-  read_buffer_.resize(options_.read_chunk);
+  read_buffer_.resize(kReadChunk);
 }
 
 IngestServer::~IngestServer() { Stop(); }
@@ -300,13 +270,7 @@ void IngestServer::Stop() {
   admin_conns_.clear();
 
   std::lock_guard<std::mutex> guard(mutex_);
-  for (auto& [fd, conn] : conns_) {
-    totals_.sessions.Merge(conn->session.counters());
-    ++totals_.closed;
-    poller_->Remove(fd);
-    ::close(fd);
-  }
-  conns_.clear();
+  for (auto it = conns_.begin(); it != conns_.end();) it = CloseLocked(it);
   for (int* listener : {&uds_listen_, &tcp_listen_, &admin_uds_listen_,
                         &admin_tcp_listen_, &wake_read_, &wake_write_}) {
     if (*listener >= 0) ::close(*listener);
@@ -347,23 +311,6 @@ void IngestServer::Loop() {
         } else {
           const int ms = static_cast<int>(delay * 1000.0) + 1;
           if (ms < timeout_ms) timeout_ms = ms;
-        }
-      }
-      // Sustained-overload monitor: too many connections rate-paused for
-      // longer than the grace period sheds the lowest-priority one.
-      if (options_.shed_paused_watermark >= 0) {
-        int paused = 0;
-        for (const auto& [fd, conn] : conns_) {
-          if (conn->paused) ++paused;
-        }
-        if (paused > options_.shed_paused_watermark) {
-          if (overload_since_ < 0.0) overload_since_ = now;
-          if (now - overload_since_ >= options_.shed_grace_seconds) {
-            ShedLowestPriority();
-            overload_since_ = now;
-          }
-        } else {
-          overload_since_ = -1.0;
         }
       }
     }
@@ -416,11 +363,11 @@ bool IngestServer::ReadReady(int fd, double now) {
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
       return true;
     }
-    CloseConnection(fd, /*shed=*/false);
+    CloseConnection(fd);
     return false;
   }
   if (n == 0) {  // peer closed
-    CloseConnection(fd, /*shed=*/false);
+    CloseConnection(fd);
     return false;
   }
   std::lock_guard<std::mutex> guard(mutex_);
@@ -429,12 +376,7 @@ bool IngestServer::ReadReady(int fd, double now) {
   Connection& conn = *it->second;
   if (!conn.session.Feed({read_buffer_.data(), static_cast<std::size_t>(n)},
                          now)) {
-    // Protocol error: fold the session's counters in and drop the peer.
-    totals_.sessions.Merge(conn.session.counters());
-    ++totals_.closed;
-    poller_->Remove(fd);
-    ::close(fd);
-    conns_.erase(it);
+    CloseLocked(it);  // protocol error: drop the peer
     return false;
   }
   if (conn.session.paused(now) && !conn.paused) {
@@ -494,12 +436,7 @@ void IngestServer::AdminEventReady(int fd) {
     // its own connection (EPIPE below), never the process (SIGPIPE).
     const ssize_t n = ::send(fd, conn.response.data() + conn.written,
                              conn.response.size() - conn.written,
-#ifdef MSG_NOSIGNAL
-                             MSG_NOSIGNAL
-#else
-                             0
-#endif
-    );
+                             MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
       CloseAdmin(fd);
@@ -522,20 +459,22 @@ obs::MetricsRegistry& IngestServer::AdminRegistry() const {
   return options_.metrics ? *options_.metrics : obs::MetricsRegistry::Global();
 }
 
-void IngestServer::CloseConnection(int fd, bool shed) {
+void IngestServer::CloseConnection(int fd) {
   std::lock_guard<std::mutex> guard(mutex_);
   auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
+  if (it != conns_.end()) CloseLocked(it);
+}
+
+IngestServer::ConnectionMap::iterator IngestServer::CloseLocked(
+    ConnectionMap::iterator it) {
   totals_.sessions.Merge(it->second->session.counters());
   ++totals_.closed;
-  if (shed) ++totals_.shed_connections;
-  poller_->Remove(fd);
-  ::close(fd);
-  conns_.erase(it);
+  poller_->Remove(it->first);
+  ::close(it->first);
+  return conns_.erase(it);
 }
 
 bool IngestServer::ShedLowestPriority() {
-  // Caller holds mutex_.
   int victim = -1;
   double lowest = 0.0;
   for (const auto& [fd, conn] : conns_) {
@@ -546,13 +485,8 @@ bool IngestServer::ShedLowestPriority() {
     }
   }
   if (victim < 0) return false;
-  auto it = conns_.find(victim);
-  totals_.sessions.Merge(it->second->session.counters());
-  ++totals_.closed;
+  CloseLocked(conns_.find(victim));
   ++totals_.shed_connections;
-  poller_->Remove(victim);
-  ::close(victim);
-  conns_.erase(it);
   return true;
 }
 

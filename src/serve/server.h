@@ -1,8 +1,8 @@
 #ifndef LDPR_SERVE_SERVER_H_
 #define LDPR_SERVE_SERVER_H_
 
-// The network front door: a single-threaded event-loop (epoll on Linux,
-// poll(2) elsewhere) TCP / Unix-domain-socket server that frames
+// The network front door: a single-threaded epoll(7) event-loop TCP /
+// Unix-domain-socket server (Linux only, like the rest of serve/) that frames
 // length-prefixed wire records (serve/wire_session.h format) off
 // non-blocking connections into any IngestSink — the lock-striped
 // Collector, the longitudinal pipeline with its replay classification, or
@@ -19,9 +19,8 @@
 //     sink;
 //   * duplicate (user, epoch) rejection: the LongitudinalCollector sink
 //     classifies under the lane mutex and rejects kDuplicate;
-//   * load shedding: at connection capacity, and under sustained overload
-//     (too many connections rate-paused for longer than the grace period),
-//     the lowest-priority connection (WireSession::Priority) is dropped.
+//   * load shedding: an accept at connection capacity drops the
+//     lowest-priority connection (WireSession::Priority).
 //
 // One loop thread owns all sockets and sessions; Ingest calls run on it.
 // The sink's lock-striped lanes make that safe alongside any in-process
@@ -29,7 +28,6 @@
 // concurrent connections decode into distinct lanes.
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -60,14 +58,6 @@ struct ServerOptions {
   WireSessionOptions session;
   /// Per-user admission (disabled unless per_user_rate > 0).
   AdmissionOptions admission;
-  /// Sustained-overload shedding: when more than `shed_paused_watermark`
-  /// connections are rate-paused continuously for `shed_grace_seconds`,
-  /// drop the lowest-priority connection (and restart the grace clock).
-  /// Watermark < 0 disables the monitor; capacity shedding stays active.
-  int shed_paused_watermark = -1;
-  double shed_grace_seconds = 0.5;
-  /// read(2) chunk size per readable connection per loop iteration.
-  std::size_t read_chunk = 64 << 10;
 
   /// Admin scrape endpoint: a read-only HTTP listener (`GET /metrics` in
   /// Prometheus text, `/metrics.json`) riding the same event loop on its
@@ -136,9 +126,14 @@ class IngestServer {
   /// Reads one chunk from a connection; closes it on EOF / error /
   /// protocol error. Returns false when the connection was closed.
   bool ReadReady(int fd, double now);
-  void CloseConnection(int fd, bool shed);
-  /// Drops the lowest-priority connection; false when none exist.
+  void CloseConnection(int fd);
+  /// Drops the lowest-priority connection; false when none exist. Caller
+  /// holds mutex_.
   bool ShedLowestPriority();
+  using ConnectionMap = std::unordered_map<int, std::unique_ptr<Connection>>;
+  /// Folds the connection's session counters into the totals, closes its
+  /// socket and erases it; returns the next entry. Caller holds mutex_.
+  ConnectionMap::iterator CloseLocked(ConnectionMap::iterator it);
   int PausedCount(double now) const;
 
   /// Admin endpoint plumbing, all loop-thread only: accept, buffer the
@@ -169,10 +164,9 @@ class IngestServer {
 
   /// Guards conns_ and totals_ (the loop thread versus counters()/Stop()).
   mutable std::mutex mutex_;
-  std::unordered_map<int, std::unique_ptr<Connection>> conns_;
+  ConnectionMap conns_;
   ServerCounters totals_;
   long long next_lane_ = 0;
-  double overload_since_ = -1.0;  ///< < 0: not currently over the watermark
   std::vector<std::uint8_t> read_buffer_;
 
   /// Loop-thread only (Stop touches it strictly after joining the loop).

@@ -62,7 +62,8 @@ TEST_P(ServeCollectorTest, SnapshotBitIdenticalToBatchAggregator) {
 
   CollectorOptions options;
   options.lanes = 4;
-  EpochManager manager(*oracle, options);
+  LongitudinalCollector manager(*oracle,
+                                LongitudinalOptions::FromCollector(options));
   EXPECT_EQ(manager.OpenEpoch(), 0);
   for (int i = 0; i < n; ++i) {
     // Scatter reports over lanes in an arbitrary pattern: lane assignment
@@ -114,7 +115,8 @@ TEST_P(ServeCollectorTest, SealingIsLaneAndThreadCountIndependent) {
        std::vector<std::pair<int, int>>{{1, 1}, {3, 2}, {8, 4}}) {
     CollectorOptions options;
     options.lanes = lanes;
-    EpochManager manager(*oracle, options);
+    LongitudinalCollector manager(
+        *oracle, LongitudinalOptions::FromCollector(options));
     manager.OpenEpoch();
     EXPECT_EQ(IngestStream(manager.collector(), stream_a, threads), n);
     const EstimateSnapshot& snapshot = manager.Seal();
@@ -135,7 +137,8 @@ TEST_P(ServeCollectorTest, SealingIsLaneAndThreadCountIndependent) {
 TEST_P(ServeCollectorTest, MalformedBuffersAreRejectedCleanly) {
   const int k = 100;
   auto oracle = fo::MakeOracle(GetParam(), k, 1.0);
-  EpochManager manager(*oracle, CollectorOptions{.lanes = 2});
+  LongitudinalCollector manager(
+      *oracle, LongitudinalOptions::FromCollector({.lanes = 2}));
   manager.OpenEpoch();
   Collector& collector = manager.collector();
   const std::size_t frame_bytes = collector.report_bytes();
@@ -239,7 +242,8 @@ TEST_P(ServeCollectorTest, FlushBoundariesAreInvisibleInSnapshots) {
     frames.push_back(fo::SerializeReport(*oracle, reports.back()));
   }
 
-  EpochManager manager(*oracle, CollectorOptions{.lanes = 1});
+  LongitudinalCollector manager(
+      *oracle, LongitudinalOptions::FromCollector({.lanes = 1}));
   for (int n : {0, 1, block - 1, block, block + 1, 2 * block - 1, 2 * block,
                 max_n}) {
     manager.OpenEpoch();
@@ -279,7 +283,8 @@ TEST_P(ServeCollectorTest, SealAtEveryStagedFillMatchesScalar) {
     frames.push_back(fo::SerializeReport(*oracle, reports.back()));
   }
 
-  EpochManager manager(*oracle, CollectorOptions{.lanes = 1});
+  LongitudinalCollector manager(
+      *oracle, LongitudinalOptions::FromCollector({.lanes = 1}));
   auto batch = oracle->MakeAggregator();  // grown by one report per fill
   for (int n = 0; n <= block; ++n) {
     if (n > 0) batch->Accumulate(reports[n - 1]);
@@ -303,7 +308,8 @@ TEST_P(ServeCollectorTest, SealAtEveryStagedFillMatchesScalar) {
 TEST_P(ServeCollectorTest, RejectionsBetweenStagedFramesDontPerturbDecodes) {
   const int k = 50;
   auto oracle = fo::MakeOracle(GetParam(), k, 1.0);
-  EpochManager manager(*oracle, CollectorOptions{.lanes = 1});
+  LongitudinalCollector manager(
+      *oracle, LongitudinalOptions::FromCollector({.lanes = 1}));
   manager.OpenEpoch();
   Collector& collector = manager.collector();
   const std::size_t frame_bytes = collector.report_bytes();
@@ -382,7 +388,8 @@ TEST_P(ServeCollectorTest, ConcurrentProducersMatchSingleThreadBitwise) {
   // Reference: one lane, one thread, in stream order.
   EstimateSnapshot reference;
   {
-    EpochManager manager(*oracle, CollectorOptions{.lanes = 1});
+    LongitudinalCollector manager(
+        *oracle, LongitudinalOptions::FromCollector({.lanes = 1}));
     manager.OpenEpoch();
     for (long long i = 0; i < n; ++i) {
       ASSERT_TRUE(manager.collector()
@@ -404,7 +411,8 @@ TEST_P(ServeCollectorTest, ConcurrentProducersMatchSingleThreadBitwise) {
 
   // Disjoint lanes: thread t owns lane t and a contiguous frame range.
   {
-    EpochManager manager(*oracle, CollectorOptions{.lanes = threads});
+    LongitudinalCollector manager(
+        *oracle, LongitudinalOptions::FromCollector({.lanes = threads}));
     manager.OpenEpoch();
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t) {
@@ -424,7 +432,8 @@ TEST_P(ServeCollectorTest, ConcurrentProducersMatchSingleThreadBitwise) {
   // Shared lanes: four threads contend for two lanes, strided so every
   // thread's frames interleave with every other's inside each lane.
   {
-    EpochManager manager(*oracle, CollectorOptions{.lanes = 2});
+    LongitudinalCollector manager(
+        *oracle, LongitudinalOptions::FromCollector({.lanes = 2}));
     manager.OpenEpoch();
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t) {
@@ -440,22 +449,21 @@ TEST_P(ServeCollectorTest, ConcurrentProducersMatchSingleThreadBitwise) {
     expect_matches_reference(manager.Seal(), "shared lanes");
   }
 
-  // The timed harness the MT benchmarks and serve-demo use reports every
-  // frame accepted and seals to the same snapshot.
+  // The sharded producer fan-out the MT benchmarks and serve-demo time
+  // reports every frame accepted and seals to the same snapshot.
   {
-    EpochManager manager(*oracle, CollectorOptions{.lanes = threads});
+    LongitudinalCollector manager(
+        *oracle, LongitudinalOptions::FromCollector({.lanes = threads}));
     manager.OpenEpoch();
-    const MtIngestResult result =
-        IngestStreamMt(manager.collector(), stream, threads);
-    EXPECT_EQ(result.accepted, n);
-    EXPECT_GE(result.reports_per_second, 0.0);
-    expect_matches_reference(manager.Seal(), "IngestStreamMt");
+    EXPECT_EQ(IngestStream(manager.collector(), stream, threads), n);
+    expect_matches_reference(manager.Seal(), "IngestStream");
   }
 }
 
 TEST(ServeEpochTest, LifecycleIsEnforced) {
   auto oracle = fo::MakeOracle(fo::Protocol::kOue, 8, 1.0);
-  EpochManager manager(*oracle, CollectorOptions{.lanes = 2});
+  LongitudinalCollector manager(
+      *oracle, LongitudinalOptions::FromCollector({.lanes = 2}));
   EXPECT_FALSE(manager.open());
   EXPECT_THROW(manager.collector(), InvalidArgumentError);
   EXPECT_THROW(manager.Seal(), InvalidArgumentError);
@@ -489,7 +497,8 @@ TEST(ServeEpochTest, LifecycleIsEnforced) {
 // synthetic bytes like wire ingest does.
 TEST(ServeEpochTest, HistogramIngestCountsReports) {
   auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 6, 1.0);
-  EpochManager manager(*oracle, CollectorOptions{.lanes = 2});
+  LongitudinalCollector manager(
+      *oracle, LongitudinalOptions::FromCollector({.lanes = 2}));
   manager.OpenEpoch();
   Rng rng(11);
   const std::vector<long long> histogram = {100, 50, 25, 12, 6, 7};

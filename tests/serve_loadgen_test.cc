@@ -77,7 +77,8 @@ TEST(ServeLoadGenTest, RoundTripRecoversFrequencies) {
 
   Rng root(21);
   const EncodedStream stream = EncodeScalarLoad(*oracle, values, root);
-  EpochManager manager(*oracle, CollectorOptions{.lanes = 3});
+  LongitudinalCollector manager(
+      *oracle, LongitudinalOptions::FromCollector({.lanes = 3}));
   manager.OpenEpoch();
   EXPECT_EQ(IngestStream(manager.collector(), stream, 2), n);
   const EstimateSnapshot& snapshot = manager.Seal();

@@ -6,9 +6,12 @@
 // memoization off), ledger totals must be exact under any lane/thread
 // configuration, and the bounded history cap must evict oldest-first.
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -457,6 +460,91 @@ TEST(ServeLongitudinalLedgerTest, IngestOutsideAnEpochIsAClosedEpochReject) {
   EXPECT_EQ(sealed.stats.closed_epoch, 1);
 }
 
+// Producers keep ingesting attributed and anonymous frames while the owner
+// seals and reopens epochs. Every frame passes one epoch gate under its lane
+// mutex and Seal() closes the epoch before it drains, so each seal returns,
+// each epoch's ledger charges exactly the reports it accepted, nothing
+// accepted is lost between epochs, and no user lands two reports in one
+// epoch.
+TEST(ServeLongitudinalLedgerTest, SealingUnderLiveTrafficIsExact) {
+  constexpr int kUsers = 16;
+  constexpr int kProducers = 3;
+  constexpr int kEpochs = 200;
+  // A GRR frame carries its reported value verbatim. User u always sends
+  // value u (a memoizing client) and anonymous frames send kUsers, so an
+  // epoch's count at u is the number of reports it accepted from user u.
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, kUsers + 1, 1.0);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int v = 0; v <= kUsers; ++v) {
+    fo::Report report;
+    report.value = v;
+    frames.push_back(fo::SerializeReport(*oracle, report));
+  }
+  LongitudinalOptions options;
+  options.collector.lanes = kProducers;
+  LongitudinalCollector collector(*oracle, options);
+
+  std::atomic<bool> stop{false};
+  std::atomic<long long> accepted{0};
+  std::atomic<long long> attempted{0};
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (long long i = p; !stop.load(std::memory_order_relaxed); ++i) {
+        const int value = static_cast<int>(i % (kUsers + 1));
+        IngestRequest request{frames[value], std::nullopt,
+                              static_cast<int>((p + i) % kProducers)};
+        if (value < kUsers) request.user = value;
+        const bool ok = collector.Ingest(request).accepted;
+        attempted.fetch_add(1, std::memory_order_relaxed);
+        if (ok) accepted.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  int sealed_epochs = 0;
+  for (int e = 0; e < kEpochs; ++e) {
+    collector.OpenEpoch();
+    // Let traffic land in the epoch; the producers never pause for a seal.
+    const long long before = accepted.load(std::memory_order_relaxed);
+    while (accepted.load(std::memory_order_relaxed) < before + kUsers) {
+      std::this_thread::yield();
+    }
+    bool threw = true;
+    EXPECT_NO_THROW({
+      collector.Seal();
+      threw = false;
+    }) << "epoch "
+       << e;
+    if (threw) break;
+    ++sealed_epochs;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& producer : producers) producer.join();
+  ASSERT_EQ(sealed_epochs, kEpochs);
+  // One quiet epoch drains the closed-epoch rejects the lanes counted after
+  // the last seal.
+  collector.OpenEpoch();
+  collector.Seal();
+
+  long long sealed_reports = 0;
+  long long sealed_outcomes = 0;
+  for (const EstimateSnapshot& snapshot : collector.snapshots()) {
+    SCOPED_TRACE(snapshot.epoch);
+    EXPECT_EQ(snapshot.ledger.fresh + snapshot.ledger.memoized,
+              snapshot.stats.reports);
+    EXPECT_EQ(snapshot.stats.rejected, 0);
+    for (int u = 0; u < kUsers; ++u) EXPECT_LE(snapshot.counts[u], 1);
+    sealed_reports += snapshot.stats.reports;
+    sealed_outcomes += snapshot.stats.reports + snapshot.stats.duplicates +
+                       snapshot.stats.closed_epoch;
+  }
+  EXPECT_EQ(sealed_reports, accepted.load());
+  EXPECT_EQ(sealed_outcomes, attempted.load());
+  // Memoizing users replay: from the second epoch on they are charged 0.
+  EXPECT_GT(collector.cumulative_ledger().memoized, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot deltas and bounded history
 // ---------------------------------------------------------------------------
@@ -522,10 +610,10 @@ TEST(ServeLongitudinalTestDeltas, HistoryCapEvictsOldestFirst) {
             500);
 }
 
-// The default (cap 0) keeps everything — the legacy EpochManager contract.
+// The default (cap 0) keeps everything.
 TEST(ServeLongitudinalTestDeltas, DefaultHistoryIsUnbounded) {
   auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 8, 1.0);
-  EpochManager manager(*oracle);
+  LongitudinalCollector manager(*oracle);
   for (int e = 0; e < 12; ++e) {
     manager.OpenEpoch();
     manager.Seal();

@@ -95,7 +95,6 @@ TEST(UserAdmissionTableTest, BucketsArePerUser) {
   AdmissionOptions options;
   options.per_user_rate = 1.0;
   options.per_user_burst = 2.0;
-  options.shards = 4;
   UserAdmissionTable table(options);
   ASSERT_TRUE(table.enabled());
   EXPECT_TRUE(table.Admit(7, 0.0));
@@ -328,33 +327,26 @@ TEST(ServeIngestTest, ReplayTableClassifiesFreshMemoizedDuplicate) {
   EXPECT_EQ(table.Classify(2, a, 0), FrameClass::kFresh);
   EXPECT_EQ(table.Classify(2, b, 0), FrameClass::kDuplicate);
   EXPECT_EQ(table.Classify(2, b, 1), FrameClass::kFresh);
-  // one_per_epoch off: same-epoch resubmissions classify by hash instead.
-  EXPECT_EQ(table.Classify(3, a, 0, true, false), FrameClass::kFresh);
-  EXPECT_EQ(table.Classify(3, a, 0, true, false), FrameClass::kMemoized);
 }
 
 TEST(ServeIngestTest, FromCollectorOptionsRoundTrips) {
   CollectorOptions collector_options;
   collector_options.lanes = 3;
-  collector_options.consistency = fo::ConsistencyMethod::kClampRenorm;
-  collector_options.consistency_threshold = 0.25;
   const LongitudinalOptions longitudinal =
       LongitudinalOptions::FromCollector(collector_options);
   EXPECT_EQ(longitudinal.collector.lanes, 3);
-  EXPECT_EQ(longitudinal.collector.consistency,
-            fo::ConsistencyMethod::kClampRenorm);
-  EXPECT_DOUBLE_EQ(longitudinal.collector.consistency_threshold, 0.25);
-  // EpochManager runs on the converted options: the lane count and
-  // consistency method must land in the sealed snapshot's pipeline.
+  // The collector runs on the converted options: the lane count must land
+  // in the sealed snapshot's pipeline.
   auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 8, 1.0);
-  EpochManager manager(*oracle, collector_options);
+  LongitudinalCollector manager(
+      *oracle, LongitudinalOptions::FromCollector(collector_options));
   manager.OpenEpoch();
   EXPECT_EQ(manager.lanes(), 3);
   manager.Seal();
 }
 
 // ---------------------------------------------------------------------------
-// The socket server end to end (Unix-domain socket)
+// The socket server end to end (Unix-domain socket and loopback TCP)
 // ---------------------------------------------------------------------------
 
 std::string TestSocketPath(const char* tag) {
@@ -390,15 +382,9 @@ TEST(IngestServerTest, UdsSnapshotsBitIdenticalToInProcessPath) {
   }
   const EstimateSnapshot ref_snapshot = reference.Seal();
 
-  // Socket path: two client connections stream the framed records (every
-  // dup_every-th twice) at a live server.
-  LongitudinalCollector collector(*oracle, {});
-  collector.OpenEpoch();
-  ServerOptions options;
-  options.uds_path = TestSocketPath("e2e");
-  IngestServer server(collector, options);
-  server.Start();
-
+  // Socket path, once per transport (the test's parameter): two client
+  // connections stream the framed records (every dup_every-th twice) at a
+  // live server over a Unix-domain socket, then over loopback TCP.
   const std::size_t record_bytes =
       kRecordHeaderBytes + kRecordUserBytes + stream.frame_bytes;
   std::vector<std::vector<std::uint8_t>> slices;
@@ -408,37 +394,57 @@ TEST(IngestServerTest, UdsSnapshotsBitIdenticalToInProcessPath) {
                                         /*first_user=*/0, dup_every));
     framed += static_cast<long long>(slices.back().size() / record_bytes);
   }
-  std::vector<std::thread> clients;
-  for (auto& slice : slices) {
-    clients.emplace_back([&] {
-      const SocketSendResult sent = SendOverUds(options.uds_path, slice);
-      EXPECT_EQ(sent.bytes, static_cast<long long>(slice.size()));
-    });
-  }
-  for (auto& t : clients) t.join();
-  while (server.counters().sessions.records < framed) {
-    std::this_thread::yield();
-  }
-  server.Stop();
-  const EstimateSnapshot socket_snapshot = collector.Seal();
+  for (const bool tcp : {false, true}) {
+    SCOPED_TRACE(tcp ? "loopback TCP" : "UDS");
+    LongitudinalCollector collector(*oracle, {});
+    collector.OpenEpoch();
+    ServerOptions options;
+    if (tcp) {
+      options.tcp_port = 0;  // ephemeral
+    } else {
+      options.uds_path = TestSocketPath("e2e");
+    }
+    IngestServer server(collector, options);
+    server.Start();
+    if (tcp) {
+      ASSERT_GT(server.tcp_port(), 0);
+    }
 
-  // Bit-identical estimation pipeline output...
-  EXPECT_EQ(socket_snapshot.n, ref_snapshot.n);
-  EXPECT_EQ(socket_snapshot.counts, ref_snapshot.counts);
-  EXPECT_EQ(socket_snapshot.frequencies, ref_snapshot.frequencies);
-  EXPECT_EQ(socket_snapshot.consistent, ref_snapshot.consistent);
-  // ...with every duplicate counted (not aggregated) on both paths.
-  EXPECT_EQ(socket_snapshot.stats.duplicates, ref_snapshot.stats.duplicates);
-  EXPECT_GT(socket_snapshot.stats.duplicates, 0);
-  EXPECT_EQ(socket_snapshot.stats.reports, n);
+    std::vector<std::thread> clients;
+    for (auto& slice : slices) {
+      clients.emplace_back([&] {
+        const SocketSendResult sent =
+            tcp ? SendOverTcp(server.tcp_port(), slice)
+                : SendOverUds(options.uds_path, slice);
+        EXPECT_EQ(sent.bytes, static_cast<long long>(slice.size()));
+      });
+    }
+    for (auto& t : clients) t.join();
+    while (server.counters().sessions.records < framed) {
+      std::this_thread::yield();
+    }
+    server.Stop();
+    const EstimateSnapshot socket_snapshot = collector.Seal();
 
-  const ServerCounters counters = server.counters();
-  EXPECT_EQ(counters.connections, 2);
-  EXPECT_EQ(counters.sessions.records, framed);
-  EXPECT_EQ(counters.sessions.ingest.reports, n);
-  EXPECT_EQ(counters.sessions.ingest.duplicates,
-            socket_snapshot.stats.duplicates);
-  EXPECT_EQ(counters.sessions.protocol_errors, 0);
+    // Bit-identical estimation pipeline output...
+    EXPECT_EQ(socket_snapshot.n, ref_snapshot.n);
+    EXPECT_EQ(socket_snapshot.counts, ref_snapshot.counts);
+    EXPECT_EQ(socket_snapshot.frequencies, ref_snapshot.frequencies);
+    EXPECT_EQ(socket_snapshot.consistent, ref_snapshot.consistent);
+    // ...with every duplicate counted (not aggregated) on both paths.
+    EXPECT_EQ(socket_snapshot.stats.duplicates,
+              ref_snapshot.stats.duplicates);
+    EXPECT_GT(socket_snapshot.stats.duplicates, 0);
+    EXPECT_EQ(socket_snapshot.stats.reports, n);
+
+    const ServerCounters counters = server.counters();
+    EXPECT_EQ(counters.connections, 2);
+    EXPECT_EQ(counters.sessions.records, framed);
+    EXPECT_EQ(counters.sessions.ingest.reports, n);
+    EXPECT_EQ(counters.sessions.ingest.duplicates,
+              socket_snapshot.stats.duplicates);
+    EXPECT_EQ(counters.sessions.protocol_errors, 0);
+  }
 }
 
 TEST(IngestServerTest, ProtocolErrorClosesOnlyTheOffendingConnection) {
@@ -517,6 +523,14 @@ TEST(AdminEndpointTest, ScrapedCountersMatchSealedSnapshotExactly) {
   LongitudinalOptions options;
   options.collector.metrics = &registry;
   LongitudinalCollector collector(*oracle, options);
+  // Frames that arrive before the epoch opens are closed-epoch rejects,
+  // counted in the lanes like every other reject: the scrape and the first
+  // seal both see them.
+  for (long long i = 0; i < 3; ++i) {
+    EXPECT_EQ(
+        collector.Ingest({{stream.frame(i), stream.frame_bytes}, i}).reason,
+        RejectReason::kClosedEpoch);
+  }
   collector.OpenEpoch();
 
   ServerOptions server_options;
@@ -557,6 +571,10 @@ TEST(AdminEndpointTest, ScrapedCountersMatchSealedSnapshotExactly) {
   EXPECT_EQ(
       SeriesValue(body, "ldpr_ingest_rejects_total{reason=\"malformed\"}"),
       0);
+  EXPECT_EQ(SeriesValue(body,
+                        "ldpr_ingest_rejects_total{reason=\"closed-epoch\"}"),
+            snapshot.stats.closed_epoch);
+  EXPECT_EQ(snapshot.stats.closed_epoch, 3);
   EXPECT_EQ(SeriesValue(body, "ldpr_server_reports_total"),
             snapshot.stats.reports);
   EXPECT_EQ(SeriesValue(body, "ldpr_server_connections_total"), 1);
