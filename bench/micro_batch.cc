@@ -20,7 +20,6 @@
 
 #include "core/rng.h"
 #include "fo/factory.h"
-#include "sim/engine.h"
 
 namespace {
 
@@ -149,20 +148,6 @@ void BM_AggregateBlock(benchmark::State& state, fo::Protocol protocol) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-void BM_SimRunCollection(benchmark::State& state, sim::Mode mode) {
-  const long long n = state.range(0);
-  auto oracle = fo::MakeOracle(fo::Protocol::kOue, kDomain, 1.0);
-  const std::vector<int> values = MakeValues(n);
-  Rng root(1);
-  for (auto _ : state) {
-    sim::Options options;
-    options.mode = mode;
-    auto result = sim::RunCollection(*oracle, values, root, options);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-
 }  // namespace
 
 // The issue's acceptance pair: OUE and SUE at n = 1M, k = 100.
@@ -208,11 +193,5 @@ BENCHMARK_CAPTURE(BM_AggregateScalar, ss, fo::Protocol::kSs)->Arg(1 << 18);
 BENCHMARK_CAPTURE(BM_AggregateBlock, ss, fo::Protocol::kSs)->Arg(1 << 18);
 BENCHMARK_CAPTURE(BM_AggregateScalar, olh, fo::Protocol::kOlh)->Arg(1 << 16);
 BENCHMARK_CAPTURE(BM_AggregateBlock, olh, fo::Protocol::kOlh)->Arg(1 << 16);
-
-// The whole engine, sharded across LDPR_THREADS workers.
-BENCHMARK_CAPTURE(BM_SimRunCollection, streaming, sim::Mode::kStreaming)
-    ->Arg(1 << 20)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimRunCollection, closed_form, sim::Mode::kClosedForm)
-    ->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -1,19 +1,16 @@
 // Microbenchmark (google-benchmark) for the closed-form multidimensional
-// estimation path behind the fast profile: one full collection round
-// (client randomization + server aggregation + estimate) for n users over a
-// mixed-k attribute profile, measured two ways per solution:
+// estimation path behind the fast profile: one full collection round per
+// solution at n users over a mixed-k attribute profile, drawn by
+// multidim::EstimateClosedForm over hoisted per-attribute histograms —
+// O(sum_j k_j) RNG draws per round regardless of n (the per-round cost the
+// fast profile pays inside a grid cell; the one-off histogram build is
+// amortized like the scenarios amortize it). The Wang et al. numeric mean
+// estimators are measured both per user and closed-form.
 //
-//   streaming    — the legacy-exact path: per-user fused
-//                  StreamAggregator accumulation (no Report vectors), the
-//                  same work RunMultidim shards across threads.
-//   closed_form  — multidim::EstimateClosedForm over hoisted per-attribute
-//                  histograms: O(sum_j k_j) RNG draws per round regardless
-//                  of n (the per-round cost the fast profile pays inside a
-//                  grid cell; the one-off histogram build is amortized like
-//                  the scenarios amortize it).
-//
-// The CI benchmark-regression gate tracks both this binary and micro_batch
-// (tools/check_bench_regression.py against tools/bench_baseline.json).
+// The per-user collection of the same solutions is measured on the serving
+// path (micro_serve's BM_MultidimIngest). The CI benchmark-regression gate
+// tracks both this binary and micro_batch (tools/check_bench_regression.py
+// against tools/bench_baseline.json).
 
 #include <benchmark/benchmark.h>
 
@@ -72,30 +69,11 @@ std::vector<std::vector<double>> MakePriors() {
 }
 
 template <typename Solution>
-void StreamingRound(const Solution& solution,
-                    const std::vector<std::vector<int>>& records, Rng& rng) {
-  typename Solution::StreamAggregator agg(solution);
-  for (const auto& record : records) agg.AccumulateRecord(record, rng);
-  auto est = agg.Estimate();
-  benchmark::DoNotOptimize(est);
-}
-
-template <typename Solution>
 void ClosedFormRound(const Solution& solution,
                      const multidim::AttributeHistograms& hists, long long n,
                      Rng& rng) {
   auto est = multidim::EstimateClosedForm(solution, hists, n, rng);
   benchmark::DoNotOptimize(est);
-}
-
-template <typename MakeSolution>
-void BM_Streaming(benchmark::State& state, MakeSolution make) {
-  const long long n = state.range(0);
-  const auto records = MakeRecords(n);
-  const auto solution = make();
-  Rng rng(1);
-  for (auto _ : state) StreamingRound(solution, records, rng);
-  state.SetItemsProcessed(state.iterations() * n);
 }
 
 template <typename MakeSolution>
@@ -153,21 +131,17 @@ void BM_NumericMean(benchmark::State& state, bool closed_form,
 
 }  // namespace
 
-// One full round at n = 1M per solution, both paths; items_per_second makes
-// the speedup direct.
-#define LDPR_BENCH_PAIR(name, maker)                                       \
-  BENCHMARK_CAPTURE(BM_Streaming, name, maker)                             \
-      ->Arg(1 << 20)                                                       \
-      ->Unit(benchmark::kMillisecond);                                     \
-  BENCHMARK_CAPTURE(BM_ClosedForm, name, maker)                            \
-      ->Arg(1 << 20)                                                       \
-      ->Unit(benchmark::kMillisecond)
-
-LDPR_BENCH_PAIR(rsfd_grr, MakeRsFdGrr);
-LDPR_BENCH_PAIR(rsfd_ouer, MakeRsFdOueR);
-LDPR_BENCH_PAIR(rsrfd_grr, MakeRsRfdGrr);
-LDPR_BENCH_PAIR(smp_oue, MakeSmpOue);
-LDPR_BENCH_PAIR(spl_grr, MakeSplGrr);
+// One full round at n = 1M per solution.
+BENCHMARK_CAPTURE(BM_ClosedForm, rsfd_grr, MakeRsFdGrr)
+    ->Arg(1 << 20)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ClosedForm, rsfd_ouer, MakeRsFdOueR)
+    ->Arg(1 << 20)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ClosedForm, rsrfd_grr, MakeRsRfdGrr)
+    ->Arg(1 << 20)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ClosedForm, smp_oue, MakeSmpOue)
+    ->Arg(1 << 20)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ClosedForm, spl_grr, MakeSplGrr)
+    ->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(BM_NumericMean, duchi_per_user, false,
                   multidim::NumericMechanism::kDuchi)

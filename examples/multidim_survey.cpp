@@ -4,15 +4,17 @@
 // behind uniform fakes) and RS+RFD (this paper's countermeasure with
 // realistic fakes), on an ACSEmployment-like synthetic census.
 //
-// Every solution runs on the sharded simulation engine (sim::RunMultidim):
-// users stream through fused per-shard StreamAggregators on independent RNG
-// streams — no per-user report vectors, and LDPR_THREADS workers without
-// changing the result for a fixed seed.
+// Every solution runs on the serving pipeline: the load generator encodes
+// one wire tuple per user (sharded across LDPR_THREADS workers on per-shard
+// RNG streams that depend only on n), a serve::MultidimCollector ingests
+// the tuples over its lanes, and the sealed epoch holds the per-attribute
+// estimates. The thread count never changes the output.
 //
 // Run:  ./multidim_survey [epsilon] [scale]
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "core/metrics.h"
 #include "core/rng.h"
@@ -22,7 +24,26 @@
 #include "multidim/rsrfd.h"
 #include "multidim/smp.h"
 #include "multidim/spl.h"
-#include "sim/engine.h"
+#include "serve/loadgen.h"
+#include "serve/multidim_collector.h"
+
+namespace {
+
+/// Encodes every user's record with `encode` (one of the serve::Encode*Load
+/// functions), ingests the tuples and seals the per-attribute estimates.
+template <typename Solution>
+std::vector<std::vector<double>> Collect(
+    const Solution& solution, const ldpr::data::Dataset& ds, ldpr::Rng& rng,
+    ldpr::serve::EncodedFrames (*encode)(const Solution&,
+                                         const ldpr::data::Dataset&,
+                                         ldpr::Rng&,
+                                         const ldpr::sim::Options&)) {
+  ldpr::serve::MultidimCollector collector(solution);
+  ldpr::serve::IngestFrames(collector, encode(solution, ds, rng, {}));
+  return collector.Seal().estimates;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const double epsilon = argc > 1 ? std::atof(argv[1]) : 1.0;
@@ -39,26 +60,27 @@ int main(int argc, char** argv) {
   {
     ldpr::multidim::Spl spl(ldpr::fo::Protocol::kGrr, ds.domain_sizes(),
                             epsilon);
+    const auto estimates = Collect(spl, ds, rng, ldpr::serve::EncodeSplLoad);
     std::printf("%-24s MSE_avg = %.3e\n", "SPL[GRR]",
-                ldpr::MseAvg(truth, ldpr::sim::RunMultidim(spl, ds, rng)));
+                ldpr::MseAvg(truth, estimates));
   }
 
   // --- SMP: one attribute per user at full eps.
   {
     ldpr::multidim::Smp smp(ldpr::fo::Protocol::kGrr, ds.domain_sizes(),
                             epsilon);
+    const auto estimates = Collect(smp, ds, rng, ldpr::serve::EncodeSmpLoad);
     std::printf("%-24s MSE_avg = %.3e   (discloses sampled attribute!)\n",
-                "SMP[GRR]",
-                ldpr::MseAvg(truth, ldpr::sim::RunMultidim(smp, ds, rng)));
+                "SMP[GRR]", ldpr::MseAvg(truth, estimates));
   }
 
   // --- RS+FD: sampled attribute at amplified eps', uniform fakes elsewhere.
   {
     ldpr::multidim::RsFd rsfd(ldpr::multidim::RsFdVariant::kGrr,
                               ds.domain_sizes(), epsilon);
+    const auto estimates = Collect(rsfd, ds, rng, ldpr::serve::EncodeRsFdLoad);
     std::printf("%-24s MSE_avg = %.3e   (eps' = %.2f)\n", "RS+FD[GRR]",
-                ldpr::MseAvg(truth, ldpr::sim::RunMultidim(rsfd, ds, rng)),
-                rsfd.amplified_epsilon());
+                ldpr::MseAvg(truth, estimates), rsfd.amplified_epsilon());
   }
 
   // --- RS+RFD: realistic fakes from Laplace-perturbed ("Correct") priors.
@@ -68,9 +90,10 @@ int main(int argc, char** argv) {
         /*total_central_eps=*/0.1, ldpr::data::kAcsEmploymentN);
     ldpr::multidim::RsRfd rsrfd(ldpr::multidim::RsRfdVariant::kGrr,
                                 ds.domain_sizes(), epsilon, priors);
+    const auto estimates =
+        Collect(rsrfd, ds, rng, ldpr::serve::EncodeRsRfdLoad);
     std::printf("%-24s MSE_avg = %.3e   (the countermeasure, Sec. 5)\n",
-                "RS+RFD[GRR] correct",
-                ldpr::MseAvg(truth, ldpr::sim::RunMultidim(rsrfd, ds, rng)));
+                "RS+RFD[GRR] correct", ldpr::MseAvg(truth, estimates));
   }
 
   std::printf(

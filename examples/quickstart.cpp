@@ -3,10 +3,11 @@
 // well the single-report "plausible deniability" adversary can undo the
 // randomization (Sections 2.2 and 3.2.1 of the paper).
 //
-// The collection runs on the batched simulation engine (sim::RunCollection):
-// users are sharded across LDPR_THREADS workers, each shard streams fused
-// randomize+aggregate draws into its own fo::Aggregator, and no per-user
-// Report is ever materialized.
+// The collection runs on the serving pipeline: the load generator
+// randomizes and wire-encodes every user's value (sharded across
+// LDPR_THREADS workers on per-shard RNG streams that depend only on n), a
+// serve::Collector ingests the frames over its lanes, and Eq. (2) runs on
+// the drained support counts. The thread count never changes the output.
 //
 // Run:  ./quickstart [epsilon]     (LDPR_THREADS=4 ./quickstart to shard)
 
@@ -20,7 +21,8 @@
 #include "core/sampling.h"
 #include "fo/analytic_acc.h"
 #include "fo/factory.h"
-#include "sim/engine.h"
+#include "serve/collector.h"
+#include "serve/loadgen.h"
 
 int main(int argc, char** argv) {
   const double epsilon = argc > 1 ? std::atof(argv[1]) : 1.0;
@@ -41,11 +43,15 @@ int main(int argc, char** argv) {
   for (ldpr::fo::Protocol protocol : ldpr::fo::AllProtocols()) {
     auto oracle = ldpr::fo::MakeOracle(protocol, k, epsilon);
 
-    // Client side + server side in one sharded pass: every user's value is
-    // randomized and aggregated in place; Eq. (2) runs on the merged counts.
-    ldpr::sim::CollectionResult collected =
-        ldpr::sim::RunCollection(*oracle, values, rng);
-    const double mse = ldpr::Mse(truth, collected.estimate);
+    // Client side: one wire frame per user. Server side: ingest every
+    // frame, drain the lanes, and estimate from the summed counts.
+    const ldpr::serve::EncodedStream frames =
+        ldpr::serve::EncodeScalarLoad(*oracle, values, rng);
+    ldpr::serve::Collector collector(*oracle);
+    ldpr::serve::IngestStream(collector, frames);
+    const ldpr::serve::Collector::Drained drained = collector.Drain();
+    const double mse = ldpr::Mse(
+        truth, oracle->EstimateFromCounts(drained.counts, drained.n));
 
     // The adversary's view: one sanitized report per user.
     const double attack_acc =

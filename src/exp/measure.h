@@ -5,10 +5,10 @@
 //
 // The legacy-exact ("serial") helper reproduces the historical drivers'
 // idiom draw for draw: randomize every user in record order into a report
-// vector, estimate, score — deliberately NOT sim::RunMultidim, whose
-// sharded per-worker streams would change the pinned RNG sequences. Keep
-// it byte-stable: the legacy goldens and the bit-identical contract of the
-// ported scenarios depend on it.
+// vector, estimate, score — one serial RNG stream, never the sharded
+// per-worker streams of sim::ShardedRun, which would change the pinned
+// sequences. Keep it byte-stable: the legacy goldens and the bit-identical
+// contract of the ported scenarios depend on it.
 
 #include <vector>
 

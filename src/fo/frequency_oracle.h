@@ -164,8 +164,8 @@ class Aggregator {
   virtual void AccumulateValue(int value, Rng& rng);
 
   /// AccumulateValue over a span of values. Ends by draining and freeing
-  /// the staging block, so sim shards do that work on their worker threads
-  /// rather than in the caller's Merge and destructors.
+  /// the staging block, so the caller holds finished counts and no staging
+  /// buffer once it returns.
   void AccumulateValues(const int* values, std::size_t count, Rng& rng);
   void AccumulateValues(const std::vector<int>& values, Rng& rng);
 

@@ -201,71 +201,4 @@ std::vector<std::vector<double>> RsFd::EstimateFromSupportCounts(
   return est;
 }
 
-RsFd::StreamAggregator::StreamAggregator(const RsFd& rsfd) : rsfd_(rsfd) {
-  counts_.resize(rsfd.d());
-  for (int j = 0; j < rsfd.d(); ++j) {
-    counts_[j].assign(rsfd.domain_sizes_[j], 0);
-  }
-}
-
-void RsFd::StreamAggregator::AccumulateRecord(const std::vector<int>& record,
-                                              Rng& rng) {
-  const RsFd& fd = rsfd_;
-  const int d = fd.d();
-  LDPR_REQUIRE(static_cast<int>(record.size()) == d,
-               "record has " << record.size() << " values, expected " << d);
-  // Mirrors RandomizeUserWithAttribute draw for draw (bit-identical stream),
-  // folding each payload column straight into the counts.
-  const int sampled = static_cast<int>(rng.UniformInt(d));
-
-  if (!IsUeVariant(fd.variant_)) {
-    for (int j = 0; j < d; ++j) {
-      if (j == sampled) {
-        ++counts_[j][fo::Grr::Perturb(record[j], fd.domain_sizes_[j],
-                                      fd.amplified_epsilon_, rng)];
-      } else {
-        ++counts_[j][rng.UniformInt(fd.domain_sizes_[j])];
-      }
-    }
-    ++n_;
-    return;
-  }
-
-  for (int j = 0; j < d; ++j) {
-    const int kj = fd.domain_sizes_[j];
-    // Index of the single set input bit; -1 for the UE-z all-zero vector.
-    int hot;
-    if (j == sampled) {
-      LDPR_REQUIRE(record[j] >= 0 && record[j] < kj,
-                   "record value out of range");
-      hot = record[j];
-    } else if (IsZeroFakeVariant(fd.variant_)) {
-      hot = -1;
-    } else {
-      hot = static_cast<int>(rng.UniformInt(kj));
-    }
-    for (int v = 0; v < kj; ++v) {
-      if (rng.Bernoulli(v == hot ? fd.ue_p_ : fd.ue_q_)) ++counts_[j][v];
-    }
-  }
-  ++n_;
-}
-
-void RsFd::StreamAggregator::Merge(const StreamAggregator& other) {
-  LDPR_REQUIRE(counts_.size() == other.counts_.size(),
-               "cannot merge RS+FD aggregators of different widths");
-  for (std::size_t j = 0; j < counts_.size(); ++j) {
-    LDPR_REQUIRE(counts_[j].size() == other.counts_[j].size(),
-                 "cannot merge RS+FD aggregators of different domains");
-    for (std::size_t v = 0; v < counts_[j].size(); ++v) {
-      counts_[j][v] += other.counts_[j][v];
-    }
-  }
-  n_ += other.n_;
-}
-
-std::vector<std::vector<double>> RsFd::StreamAggregator::Estimate() const {
-  return rsfd_.EstimateFromSupportCounts(counts_, n_);
-}
-
 }  // namespace ldpr::multidim

@@ -76,29 +76,6 @@ class RsFd {
   std::vector<std::vector<long long>> SupportCounts(
       const std::vector<MultidimReport>& reports) const;
 
-  /// Streaming shard state: per-attribute support counts accumulated
-  /// directly from fused client draws. AccumulateRecord draws from `rng`
-  /// exactly like RandomizeUser (bit-identical stream) without materializing
-  /// MultidimReports. Used by sim::RunMultidim.
-  class StreamAggregator {
-   public:
-    explicit StreamAggregator(const RsFd& rsfd);
-
-    /// Fused client + server for one user (uniform attribute sampling).
-    void AccumulateRecord(const std::vector<int>& record, Rng& rng);
-    void Merge(const StreamAggregator& other);
-    std::vector<std::vector<double>> Estimate() const;
-    long long n() const { return n_; }
-    const std::vector<std::vector<long long>>& counts() const {
-      return counts_;
-    }
-
-   private:
-    const RsFd& rsfd_;
-    std::vector<std::vector<long long>> counts_;
-    long long n_ = 0;
-  };
-
   RsFdVariant variant() const { return variant_; }
   int d() const { return static_cast<int>(domain_sizes_.size()); }
   const std::vector<int>& domain_sizes() const { return domain_sizes_; }

@@ -166,71 +166,6 @@ std::vector<std::vector<double>> RsRfd::EstimateFromSupportCounts(
   return est;
 }
 
-RsRfd::StreamAggregator::StreamAggregator(const RsRfd& rsrfd)
-    : rsrfd_(rsrfd) {
-  counts_.resize(rsrfd.d());
-  for (int j = 0; j < rsrfd.d(); ++j) {
-    counts_[j].assign(rsrfd.domain_sizes_[j], 0);
-  }
-}
-
-void RsRfd::StreamAggregator::AccumulateRecord(const std::vector<int>& record,
-                                               Rng& rng) {
-  const RsRfd& rfd = rsrfd_;
-  const int d = rfd.d();
-  LDPR_REQUIRE(static_cast<int>(record.size()) == d,
-               "record has " << record.size() << " values, expected " << d);
-  // Mirrors RandomizeUser (Algorithm 1) draw for draw — bit-identical
-  // stream — folding each payload column straight into the counts.
-  const int sampled = static_cast<int>(rng.UniformInt(d));
-
-  if (rfd.variant_ == RsRfdVariant::kGrr) {
-    for (int j = 0; j < d; ++j) {
-      if (j == sampled) {
-        ++counts_[j][fo::Grr::Perturb(record[j], rfd.domain_sizes_[j],
-                                      rfd.amplified_epsilon_, rng)];
-      } else {
-        ++counts_[j][rfd.prior_samplers_[j].Sample(rng)];
-      }
-    }
-    ++n_;
-    return;
-  }
-
-  for (int j = 0; j < d; ++j) {
-    const int kj = rfd.domain_sizes_[j];
-    int hot;
-    if (j == sampled) {
-      LDPR_REQUIRE(record[j] >= 0 && record[j] < kj,
-                   "record value out of range");
-      hot = record[j];
-    } else {
-      hot = rfd.prior_samplers_[j].Sample(rng);
-    }
-    for (int v = 0; v < kj; ++v) {
-      if (rng.Bernoulli(v == hot ? rfd.ue_p_ : rfd.ue_q_)) ++counts_[j][v];
-    }
-  }
-  ++n_;
-}
-
-void RsRfd::StreamAggregator::Merge(const StreamAggregator& other) {
-  LDPR_REQUIRE(counts_.size() == other.counts_.size(),
-               "cannot merge RS+RFD aggregators of different widths");
-  for (std::size_t j = 0; j < counts_.size(); ++j) {
-    LDPR_REQUIRE(counts_[j].size() == other.counts_[j].size(),
-                 "cannot merge RS+RFD aggregators of different domains");
-    for (std::size_t v = 0; v < counts_[j].size(); ++v) {
-      counts_[j][v] += other.counts_[j][v];
-    }
-  }
-  n_ += other.n_;
-}
-
-std::vector<std::vector<double>> RsRfd::StreamAggregator::Estimate() const {
-  return rsrfd_.EstimateFromSupportCounts(counts_, n_);
-}
-
 double RsRfd::Gamma(int attribute, int value, double f) const {
   const double dd = static_cast<double>(d());
   const double pj = p(attribute);

@@ -53,30 +53,6 @@ class RsRfd {
   std::vector<std::vector<double>> EstimateFromSupportCounts(
       const std::vector<std::vector<long long>>& counts, long long n) const;
 
-  /// Streaming shard state: per-attribute support counts accumulated
-  /// directly from fused client draws (Algorithm 1 run in place).
-  /// AccumulateRecord draws from `rng` exactly like RandomizeUser
-  /// (bit-identical stream) without materializing MultidimReports. Used by
-  /// sim::RunMultidim.
-  class StreamAggregator {
-   public:
-    explicit StreamAggregator(const RsRfd& rsrfd);
-
-    /// Fused client + server for one user (uniform attribute sampling).
-    void AccumulateRecord(const std::vector<int>& record, Rng& rng);
-    void Merge(const StreamAggregator& other);
-    std::vector<std::vector<double>> Estimate() const;
-    long long n() const { return n_; }
-    const std::vector<std::vector<long long>>& counts() const {
-      return counts_;
-    }
-
-   private:
-    const RsRfd& rsrfd_;
-    std::vector<std::vector<long long>> counts_;
-    long long n_ = 0;
-  };
-
   /// Closed-form estimator variance (Theorems 2 and 4) at true frequency f
   /// for value v of attribute j, over n users.
   double EstimatorVariance(int attribute, int value, long long n,

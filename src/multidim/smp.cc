@@ -61,44 +61,4 @@ const fo::FrequencyOracle& Smp::oracle(int attribute) const {
   return *oracles_[attribute];
 }
 
-Smp::StreamAggregator::StreamAggregator(const Smp& smp) : smp_(smp) {
-  per_attribute_.reserve(smp.d());
-  for (const auto& oracle : smp.oracles_) {
-    per_attribute_.push_back(oracle->MakeAggregator());
-  }
-}
-
-void Smp::StreamAggregator::AccumulateRecord(const std::vector<int>& record,
-                                             Rng& rng) {
-  LDPR_REQUIRE(static_cast<int>(record.size()) == smp_.d(),
-               "record has " << record.size() << " values, expected "
-                             << smp_.d());
-  const int attribute = static_cast<int>(rng.UniformInt(smp_.d()));
-  per_attribute_[attribute]->AccumulateValue(record[attribute], rng);
-  ++n_;
-}
-
-void Smp::StreamAggregator::Merge(const StreamAggregator& other) {
-  LDPR_REQUIRE(per_attribute_.size() == other.per_attribute_.size(),
-               "cannot merge SMP aggregators of different widths");
-  for (std::size_t j = 0; j < per_attribute_.size(); ++j) {
-    per_attribute_[j]->Merge(*other.per_attribute_[j]);
-  }
-  n_ += other.n_;
-}
-
-std::vector<std::vector<double>> Smp::StreamAggregator::Estimate() const {
-  LDPR_REQUIRE(n_ >= 1, "Estimate requires at least one accumulated record");
-  std::vector<std::vector<double>> est(smp_.d());
-  for (int j = 0; j < smp_.d(); ++j) {
-    if (per_attribute_[j]->n() == 0) {
-      // No user sampled this attribute; the best unbiased guess is uniform.
-      est[j].assign(smp_.domain_sizes_[j], 1.0 / smp_.domain_sizes_[j]);
-      continue;
-    }
-    est[j] = per_attribute_[j]->Estimate();
-  }
-  return est;
-}
-
 }  // namespace ldpr::multidim

@@ -38,26 +38,6 @@ class Smp {
   std::vector<std::vector<double>> Estimate(
       const std::vector<SmpReport>& reports) const;
 
-  /// Streaming shard state: one fo::Aggregator per attribute, fed only
-  /// by the users that sampled it. AccumulateRecord draws from `rng` exactly
-  /// like RandomizeUser (bit-identical stream) without materializing
-  /// SmpReports. Used by sim::RunMultidim.
-  class StreamAggregator {
-   public:
-    explicit StreamAggregator(const Smp& smp);
-
-    /// Fused client + server for one user (uniform attribute sampling).
-    void AccumulateRecord(const std::vector<int>& record, Rng& rng);
-    void Merge(const StreamAggregator& other);
-    std::vector<std::vector<double>> Estimate() const;
-    long long n() const { return n_; }
-
-   private:
-    const Smp& smp_;
-    std::vector<std::unique_ptr<fo::Aggregator>> per_attribute_;
-    long long n_ = 0;
-  };
-
   const fo::FrequencyOracle& oracle(int attribute) const;
   int d() const { return static_cast<int>(oracles_.size()); }
   const std::vector<int>& domain_sizes() const { return domain_sizes_; }

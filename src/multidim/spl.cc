@@ -52,40 +52,4 @@ const fo::FrequencyOracle& Spl::oracle(int attribute) const {
   return *oracles_[attribute];
 }
 
-Spl::StreamAggregator::StreamAggregator(const Spl& spl) : spl_(spl) {
-  per_attribute_.reserve(spl.d());
-  for (const auto& oracle : spl.oracles_) {
-    per_attribute_.push_back(oracle->MakeAggregator());
-  }
-}
-
-void Spl::StreamAggregator::AccumulateRecord(const std::vector<int>& record,
-                                             Rng& rng) {
-  LDPR_REQUIRE(static_cast<int>(record.size()) == spl_.d(),
-               "record has " << record.size() << " values, expected "
-                             << spl_.d());
-  for (int j = 0; j < spl_.d(); ++j) {
-    per_attribute_[j]->AccumulateValue(record[j], rng);
-  }
-  ++n_;
-}
-
-void Spl::StreamAggregator::Merge(const StreamAggregator& other) {
-  LDPR_REQUIRE(per_attribute_.size() == other.per_attribute_.size(),
-               "cannot merge SPL aggregators of different widths");
-  for (std::size_t j = 0; j < per_attribute_.size(); ++j) {
-    per_attribute_[j]->Merge(*other.per_attribute_[j]);
-  }
-  n_ += other.n_;
-}
-
-std::vector<std::vector<double>> Spl::StreamAggregator::Estimate() const {
-  LDPR_REQUIRE(n_ >= 1, "Estimate requires at least one accumulated record");
-  std::vector<std::vector<double>> est(spl_.d());
-  for (int j = 0; j < spl_.d(); ++j) {
-    est[j] = per_attribute_[j]->Estimate();
-  }
-  return est;
-}
-
 }  // namespace ldpr::multidim

@@ -25,26 +25,6 @@ class Spl {
   std::vector<std::vector<double>> Estimate(
       const std::vector<std::vector<fo::Report>>& reports) const;
 
-  /// Streaming shard state: one fo::Aggregator per attribute.
-  /// AccumulateRecord draws from `rng` exactly like RandomizeUser
-  /// (bit-identical stream) but materializes no reports; shard aggregators
-  /// Merge before Estimate. Used by sim::RunMultidim.
-  class StreamAggregator {
-   public:
-    explicit StreamAggregator(const Spl& spl);
-
-    /// Fused client + server for one user.
-    void AccumulateRecord(const std::vector<int>& record, Rng& rng);
-    void Merge(const StreamAggregator& other);
-    std::vector<std::vector<double>> Estimate() const;
-    long long n() const { return n_; }
-
-   private:
-    const Spl& spl_;
-    std::vector<std::unique_ptr<fo::Aggregator>> per_attribute_;
-    long long n_ = 0;
-  };
-
   const fo::FrequencyOracle& oracle(int attribute) const;
   int d() const { return static_cast<int>(oracles_.size()); }
   const std::vector<int>& domain_sizes() const { return domain_sizes_; }

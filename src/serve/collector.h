@@ -159,7 +159,8 @@ class Collector final : public IngestSink {
 
   /// Sums every lane's counts/tallies and resets the lanes in place for
   /// the next epoch. O(lanes * sum of column k). Used by the epoch
-  /// pipelines' Seal; exposed for tests.
+  /// pipelines' Seal; public for one-shot collections (no epoch) and
+  /// tests.
   struct Drained {
     /// Merged support counts, column after column in construction order
     /// (size: sum of the column oracles' k).

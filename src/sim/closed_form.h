@@ -1,27 +1,22 @@
 #ifndef LDPR_SIM_CLOSED_FORM_H_
 #define LDPR_SIM_CLOSED_FORM_H_
 
-// The closed-form ("fast profile") multidimensional estimation path.
+// The dataset-facing half of the closed-form ("fast profile")
+// multidimensional estimation path.
 //
-// sim::Mode::kClosedForm replaces per-user simulation with O(k) tally draws
-// for single-attribute collections (RunCollection); this header is its
-// multidimensional counterpart: a dataset is summarized once into
-// per-attribute true-value histograms, and every simulated collection round
-// then draws its aggregate support counts straight from the closed-form
-// samplers in multidim/closed_form.h — no per-user loop anywhere.
+// A dataset is summarized once into per-attribute true-value histograms;
+// every simulated collection round then draws its aggregate support counts
+// straight from the closed-form samplers in multidim/closed_form.h
+// (multidim::EstimateClosedForm) — no per-user loop anywhere.
 //
-// The RNG streams necessarily differ from RunMultidim's per-user streams,
-// so the experiment layer gates this path behind
-// exp::RunProfile::Fidelity::kFast and pins separate goldens; per attribute
-// the sampled estimates are distribution-exact
+// The RNG streams necessarily differ from the per-user legacy path
+// (RandomizeUser + Estimate(reports)), so the experiment layer gates this
+// path behind exp::RunProfile::Fidelity::kFast and pins separate goldens;
+// per attribute the sampled estimates are distribution-exact
 // (sim_fast_profile_test asserts the 3-sigma equivalence).
 
-#include <vector>
-
-#include "core/rng.h"
 #include "data/dataset.h"
 #include "multidim/closed_form.h"
-#include "multidim/numeric.h"
 
 namespace ldpr::sim {
 
@@ -30,18 +25,6 @@ namespace ldpr::sim {
 /// this out of their grid loops (O(n d) once, O(sum_j k_j) per cell after).
 multidim::AttributeHistograms BuildAttributeHistograms(
     const data::Dataset& dataset);
-
-/// One simulated collection round on the closed-form path, mirroring
-/// RunMultidim's signature: works for every Solution with an
-/// EstimateClosedForm overload (Spl, Smp, SmpAdaptive, RsFd, RsRfd,
-/// RsFdAdaptive). Prefer the hist-consuming overload inside grid loops.
-template <typename Solution>
-std::vector<std::vector<double>> RunMultidimClosedForm(
-    const Solution& solution, const data::Dataset& dataset, Rng& rng) {
-  return multidim::EstimateClosedForm(
-      solution, BuildAttributeHistograms(dataset),
-      static_cast<long long>(dataset.n()), rng);
-}
 
 }  // namespace ldpr::sim
 

@@ -1,16 +1,19 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
-#include "core/check.h"
+#include "core/parallel.h"
 
 namespace ldpr::sim {
 
 int AutoShardCount(long long n) {
   if (n <= 0) return 0;
   // Enough shards to keep any sane worker pool busy, few enough that the
-  // per-shard aggregator state (O(k) counts) stays negligible. Depends only
-  // on n so that one seed gives one result on every machine.
+  // fixed per-shard cost (an RNG fork plus a tally or buffer) stays
+  // negligible. Depends only on n so that one seed gives one result on
+  // every machine.
   constexpr long long kUsersPerShard = 4096;
   const long long shards = (n + kUsersPerShard - 1) / kUsersPerShard;
   return static_cast<int>(std::clamp<long long>(shards, 1, 256));
@@ -54,40 +57,6 @@ long long ShardedTally(
   long long total = 0;
   for (long long t : tallies) total += t;
   return total;
-}
-
-CollectionResult RunCollection(const fo::FrequencyOracle& oracle,
-                               const std::vector<int>& values, Rng& root,
-                               const Options& options) {
-  LDPR_REQUIRE(!values.empty(), "RunCollection requires >= 1 value");
-  const long long n = static_cast<long long>(values.size());
-  const int shards = ResolveShardCount(n, options);
-  std::vector<std::unique_ptr<fo::Aggregator>> parts(shards);
-  ShardedRun(n, root, options,
-             [&](int shard, long long lo, long long hi, Rng& rng) {
-               auto agg = oracle.MakeAggregator();
-               if (options.mode == Mode::kClosedForm) {
-                 std::vector<long long> hist(oracle.k(), 0);
-                 for (long long u = lo; u < hi; ++u) {
-                   const int v = values[u];
-                   LDPR_REQUIRE(v >= 0 && v < oracle.k(),
-                                "value " << v << " outside [0, " << oracle.k()
-                                         << ")");
-                   ++hist[v];
-                 }
-                 agg->AccumulateHistogram(hist, rng);
-               } else {
-                 agg->AccumulateValues(values.data() + lo,
-                                       static_cast<std::size_t>(hi - lo), rng);
-               }
-               parts[shard] = std::move(agg);
-             });
-  for (int s = 1; s < shards; ++s) parts[0]->Merge(*parts[s]);
-  CollectionResult result;
-  result.counts = parts[0]->counts();
-  result.n = parts[0]->n();
-  result.estimate = parts[0]->Estimate();
-  return result;
 }
 
 }  // namespace ldpr::sim

@@ -1,30 +1,11 @@
 #ifndef LDPR_SIM_ENGINE_H_
 #define LDPR_SIM_ENGINE_H_
 
-#include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
 
-#include "core/check.h"
-#include "core/parallel.h"
 #include "core/rng.h"
-#include "data/dataset.h"
-#include "fo/frequency_oracle.h"
 
 namespace ldpr::sim {
-
-/// How RunCollection simulates the n clients.
-enum class Mode {
-  /// Per-user randomization fused with support counting; per shard stream
-  /// this is bit-identical to scalar Randomize + AccumulateSupport calls.
-  kStreaming,
-  /// Per-shard closed-form sampling of the aggregate support counts from the
-  /// shard's true-value histogram — O(k) RNG draws per shard instead of
-  /// O(users). Per-cell distribution-exact; see
-  /// fo::Aggregator::AccumulateHistogram for the cross-cell caveat.
-  kClosedForm,
-};
 
 /// Knobs for the sharded simulation engine. Defaults reproduce one result
 /// for one seed regardless of the machine: shard boundaries and shard RNG
@@ -32,7 +13,6 @@ enum class Mode {
 struct Options {
   int threads = 0;     ///< ParallelFor workers; 0 = LDPR_THREADS / cores.
   int num_shards = 0;  ///< 0 = AutoShardCount(n).
-  Mode mode = Mode::kStreaming;
 };
 
 /// Deterministic shard count for n users — a function of n only.
@@ -66,53 +46,6 @@ void RunCells(long long num_cells, const std::function<void(long long)>& fn,
 long long ShardedTally(
     long long n, Rng& root, const Options& options,
     const std::function<long long(long long, long long, Rng&)>& counter);
-
-/// Outcome of one simulated collection round.
-struct CollectionResult {
-  std::vector<long long> counts;  ///< merged support counts, size k
-  long long n = 0;                ///< number of simulated reports
-  std::vector<double> estimate;   ///< Eq. (2) frequency estimate
-};
-
-/// Simulates one eps-LDP collection of `values` through `oracle`: users are
-/// sharded across the worker pool, each shard accumulates into its own
-/// fo::Aggregator on an independent RNG stream, and the shard aggregators
-/// are merged before estimating. No per-user Report vector is materialized
-/// in either mode.
-CollectionResult RunCollection(const fo::FrequencyOracle& oracle,
-                               const std::vector<int>& values, Rng& root,
-                               const Options& options = {});
-
-/// Simulates a multidimensional collection with solution S (multidim::Spl,
-/// Smp, RsFd, RsRfd): shards the dataset's users, accumulates one
-/// S::StreamAggregator per shard, merges, and estimates. Streaming only —
-/// the multidim estimators need per-user attribute sampling. Returns the
-/// per-attribute frequency estimates.
-template <typename Solution>
-std::vector<std::vector<double>> RunMultidim(const Solution& solution,
-                                             const data::Dataset& dataset,
-                                             Rng& root,
-                                             const Options& options = {}) {
-  using Agg = typename Solution::StreamAggregator;
-  const long long n = dataset.n();
-  LDPR_REQUIRE(n >= 1, "RunMultidim requires a non-empty dataset");
-  const int shards = ResolveShardCount(n, options);
-  std::vector<std::unique_ptr<Agg>> parts(shards);
-  ShardedRun(n, root, options,
-             [&](int shard, long long lo, long long hi, Rng& rng) {
-               auto agg = std::make_unique<Agg>(solution);
-               std::vector<int> record(dataset.d());
-               for (long long user = lo; user < hi; ++user) {
-                 for (int j = 0; j < dataset.d(); ++j) {
-                   record[j] = dataset.value(static_cast<int>(user), j);
-                 }
-                 agg->AccumulateRecord(record, rng);
-               }
-               parts[shard] = std::move(agg);
-             });
-  for (int s = 1; s < shards; ++s) parts[0]->Merge(*parts[s]);
-  return parts[0]->Estimate();
-}
 
 }  // namespace ldpr::sim
 

@@ -1,22 +1,18 @@
-// Exactness of the multidim StreamAggregators: for every solution
-// (SPL/SMP/RS+FD/RS+RFD) and every variant, the fused AccumulateRecord path
-// must be bit-identical to the scalar RandomizeUser + Estimate path for a
-// fixed seed, and merging shard aggregators must equal one aggregator over
-// all users.
+// Exactness of the RS+FD count-based estimator: EstimateFromSupportCounts
+// over SupportCounts must be bit-identical to Estimate(reports). The
+// streamed multidim path (serve::MultidimCollector) is pinned against
+// Estimate(reports) in serve_multidim_test.
+
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
-#include "core/sampling.h"
 #include "multidim/rsfd.h"
-#include "multidim/rsrfd.h"
-#include "multidim/smp.h"
-#include "multidim/spl.h"
 
 namespace ldpr::multidim {
 namespace {
 
-constexpr std::uint64_t kSeed = 0x5EED;
 constexpr int kUsers = 400;
 const std::vector<int> kDomains = {7, 3, 5, 9};
 
@@ -29,104 +25,6 @@ std::vector<std::vector<int>> TestRecords() {
     }
   }
   return records;
-}
-
-/// Accumulates all records through a freshly-built aggregator of `solution`
-/// and checks the result is exactly the scalar estimate built by `scalar`.
-template <typename Solution, typename ScalarFn>
-void CheckBitIdentical(const Solution& solution, ScalarFn scalar) {
-  const auto records = TestRecords();
-
-  Rng scalar_rng(kSeed);
-  const std::vector<std::vector<double>> expected =
-      scalar(solution, records, scalar_rng);
-
-  Rng fused_rng(kSeed);
-  typename Solution::StreamAggregator agg(solution);
-  for (const auto& record : records) agg.AccumulateRecord(record, fused_rng);
-  EXPECT_EQ(agg.Estimate(), expected);
-  EXPECT_EQ(agg.n(), kUsers);
-  // Both paths must consume the generator identically.
-  EXPECT_EQ(scalar_rng(), fused_rng());
-
-  // Merge of 3 uneven shards over the same stream equals the whole.
-  Rng shard_rng(kSeed);
-  typename Solution::StreamAggregator merged(solution);
-  const std::size_t cuts[] = {0, 123, 130, records.size()};
-  for (int s = 0; s + 1 < 4; ++s) {
-    typename Solution::StreamAggregator part(solution);
-    for (std::size_t u = cuts[s]; u < cuts[s + 1]; ++u) {
-      part.AccumulateRecord(records[u], shard_rng);
-    }
-    merged.Merge(part);
-  }
-  EXPECT_EQ(merged.Estimate(), expected);
-}
-
-TEST(SplBatchTest, StreamAggregatorMatchesScalarBitwise) {
-  for (fo::Protocol protocol : fo::AllProtocols()) {
-    SCOPED_TRACE(fo::ProtocolName(protocol));
-    Spl spl(protocol, kDomains, 2.0);
-    CheckBitIdentical(spl, [](const Spl& s, const auto& records, Rng& rng) {
-      std::vector<std::vector<fo::Report>> reports;
-      reports.reserve(records.size());
-      for (const auto& record : records) {
-        reports.push_back(s.RandomizeUser(record, rng));
-      }
-      return s.Estimate(reports);
-    });
-  }
-}
-
-TEST(SmpBatchTest, StreamAggregatorMatchesScalarBitwise) {
-  for (fo::Protocol protocol : fo::AllProtocols()) {
-    SCOPED_TRACE(fo::ProtocolName(protocol));
-    Smp smp(protocol, kDomains, 1.0);
-    CheckBitIdentical(smp, [](const Smp& s, const auto& records, Rng& rng) {
-      std::vector<SmpReport> reports;
-      reports.reserve(records.size());
-      for (const auto& record : records) {
-        reports.push_back(s.RandomizeUser(record, rng));
-      }
-      return s.Estimate(reports);
-    });
-  }
-}
-
-TEST(RsFdBatchTest, StreamAggregatorMatchesScalarBitwise) {
-  for (RsFdVariant variant :
-       {RsFdVariant::kGrr, RsFdVariant::kSueZ, RsFdVariant::kSueR,
-        RsFdVariant::kOueZ, RsFdVariant::kOueR}) {
-    SCOPED_TRACE(RsFdVariantName(variant));
-    RsFd rsfd(variant, kDomains, 1.0);
-    CheckBitIdentical(rsfd, [](const RsFd& s, const auto& records, Rng& rng) {
-      std::vector<MultidimReport> reports;
-      reports.reserve(records.size());
-      for (const auto& record : records) {
-        reports.push_back(s.RandomizeUser(record, rng));
-      }
-      return s.Estimate(reports);
-    });
-  }
-}
-
-TEST(RsRfdBatchTest, StreamAggregatorMatchesScalarBitwise) {
-  std::vector<std::vector<double>> priors;
-  for (int kj : kDomains) priors.push_back(ZipfDistribution(kj, 1.2));
-  for (RsRfdVariant variant :
-       {RsRfdVariant::kGrr, RsRfdVariant::kSueR, RsRfdVariant::kOueR}) {
-    SCOPED_TRACE(RsRfdVariantName(variant));
-    RsRfd rsrfd(variant, kDomains, 1.0, priors);
-    CheckBitIdentical(rsrfd,
-                      [](const RsRfd& s, const auto& records, Rng& rng) {
-                        std::vector<MultidimReport> reports;
-                        reports.reserve(records.size());
-                        for (const auto& record : records) {
-                          reports.push_back(s.RandomizeUser(record, rng));
-                        }
-                        return s.Estimate(reports);
-                      });
-  }
 }
 
 TEST(RsFdBatchTest, EstimateFromSupportCountsMatchesEstimate) {

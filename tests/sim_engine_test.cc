@@ -1,32 +1,36 @@
-// The sharded simulation engine (sim::RunCollection / sim::RunMultidim):
-// deterministic per-shard RNG streams must make results identical under any
-// thread count (satellite 3, guarding against shared-state races), shard
-// boundaries must depend only on n, and both modes must estimate correctly.
+// The sharded simulation engine (sim::ShardedRun): deterministic per-shard
+// RNG streams must give every user the same draws under any thread count
+// (guarding against shared-state races), shard boundaries must depend only
+// on n, and successive runs must see fresh streams. The load generator's
+// byte-identical traffic across LDPR_THREADS rests on this contract.
 
-#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
-#include "data/synthetic.h"
-#include "fo/factory.h"
-#include "multidim/rsfd.h"
-#include "multidim/rsrfd.h"
-#include "multidim/smp.h"
-#include "multidim/spl.h"
 #include "sim/engine.h"
 
 namespace ldpr::sim {
 namespace {
 
-std::vector<int> SkewedValues(int n, int k) {
-  std::vector<int> values(n);
-  for (long long i = 0; i < n; ++i) {
-    values[i] = static_cast<int>((i * 7 + i * i / 5) % k);
-  }
-  return values;
+/// One ShardedRun over n users in which every user takes two draws from
+/// its shard's stream; returns the draws in user order.
+std::vector<std::uint64_t> UserDraws(long long n, Rng& root,
+                                     const Options& options) {
+  std::vector<std::uint64_t> draws(2 * n);
+  ShardedRun(n, root, options,
+             [&](int, long long lo, long long hi, Rng& rng) {
+               for (long long user = lo; user < hi; ++user) {
+                 draws[2 * user] = rng();
+                 draws[2 * user + 1] = rng();
+               }
+             });
+  return draws;
 }
 
 /// Runs fn with LDPR_THREADS set to `threads`, restoring the prior value.
@@ -68,35 +72,25 @@ TEST(ShardedRunTest, ShardsPartitionTheRange) {
 }
 
 TEST(ShardedRunTest, ShardStreamsAreIndependentOfThreadCount) {
-  const std::vector<int> values = SkewedValues(20000, 16);
-  auto oracle = fo::MakeOracle(fo::Protocol::kOue, 16, 1.0);
-
-  auto run = [&](int threads) {
+  auto run = [](int threads) {
     Rng root(99);
     Options options;
     options.threads = threads;
-    return RunCollection(*oracle, values, root, options);
+    return UserDraws(20000, root, options);
   };
-  const CollectionResult one = run(1);
-  const CollectionResult four = run(4);
-  EXPECT_EQ(one.counts, four.counts);
-  EXPECT_EQ(one.estimate, four.estimate);
-  EXPECT_EQ(one.n, four.n);
+  EXPECT_EQ(run(1), run(4));
 }
 
 TEST(ShardedRunTest, LdprThreadsEnvDoesNotChangeResults) {
-  // The concurrency satellite as specified: LDPR_THREADS in {1, 4} with the
-  // same seed must be bit-identical (threads = 0 defers to the env knob).
-  const std::vector<int> values = SkewedValues(20000, 16);
-  auto oracle = fo::MakeOracle(fo::Protocol::kSue, 16, 1.0);
-  auto run = [&] {
+  // LDPR_THREADS in {1, 4} with the same seed must be bit-identical
+  // (threads = 0 defers to the env knob).
+  auto run = [] {
     Rng root(1234);
-    return RunCollection(*oracle, values, root, Options{});
+    return UserDraws(20000, root, Options{});
   };
-  const CollectionResult one = WithThreadsEnv("1", run);
-  const CollectionResult four = WithThreadsEnv("4", run);
-  EXPECT_EQ(one.counts, four.counts);
-  EXPECT_EQ(one.estimate, four.estimate);
+  const std::vector<std::uint64_t> one = WithThreadsEnv("1", run);
+  const std::vector<std::uint64_t> four = WithThreadsEnv("4", run);
+  EXPECT_EQ(one, four);
 }
 
 TEST(ShardedRunTest, AutoShardCountDependsOnlyOnN) {
@@ -109,90 +103,10 @@ TEST(ShardedRunTest, AutoShardCountDependsOnlyOnN) {
 }
 
 TEST(ShardedRunTest, SuccessiveRunsUseFreshStreams) {
-  const std::vector<int> values = SkewedValues(5000, 8);
-  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 8, 1.0);
   Rng root(7);
-  const CollectionResult a = RunCollection(*oracle, values, root, Options{});
-  const CollectionResult b = RunCollection(*oracle, values, root, Options{});
-  EXPECT_NE(a.counts, b.counts);  // same root, advanced stream
-}
-
-TEST(RunCollectionTest, StreamingAndClosedFormBothRecoverTruth) {
-  const int k = 12;
-  const int n = 60000;
-  const std::vector<int> values = SkewedValues(n, k);
-  std::vector<double> truth(k, 0.0);
-  for (int v : values) truth[v] += 1.0 / n;
-
-  for (fo::Protocol protocol : fo::AllProtocols()) {
-    auto oracle = fo::MakeOracle(protocol, k, 2.0);
-    for (Mode mode : {Mode::kStreaming, Mode::kClosedForm}) {
-      Rng root(55);
-      Options options;
-      options.mode = mode;
-      const CollectionResult result =
-          RunCollection(*oracle, values, root, options);
-      EXPECT_EQ(result.n, n);
-      double sum = 0.0;
-      for (int v = 0; v < k; ++v) {
-        const double sd = std::sqrt(oracle->EstimatorVariance(n, truth[v]));
-        EXPECT_NEAR(result.estimate[v], truth[v], 6.0 * sd)
-            << fo::ProtocolName(protocol) << " mode "
-            << (mode == Mode::kStreaming ? "streaming" : "closed-form")
-            << " value " << v;
-        sum += result.estimate[v];
-      }
-      // Eq. 2 estimates sum close to 1 even before consistency steps.
-      EXPECT_NEAR(sum, 1.0, 0.15);
-    }
-  }
-}
-
-TEST(RunMultidimTest, ResultsIndependentOfThreadCountForAllSolutions) {
-  data::Dataset ds = data::AdultLike(11, 0.02);
-
-  auto check = [](auto&& make_run) {
-    const auto one = make_run(1);
-    const auto four = make_run(4);
-    EXPECT_EQ(one, four);
-  };
-
-  multidim::Spl spl(fo::Protocol::kGrr, ds.domain_sizes(), 1.0);
-  check([&](int threads) {
-    Rng root(3);
-    Options options;
-    options.threads = threads;
-    return RunMultidim(spl, ds, root, options);
-  });
-
-  multidim::Smp smp(fo::Protocol::kOue, ds.domain_sizes(), 1.0);
-  check([&](int threads) {
-    Rng root(4);
-    Options options;
-    options.threads = threads;
-    return RunMultidim(smp, ds, root, options);
-  });
-
-  multidim::RsFd rsfd(multidim::RsFdVariant::kOueZ, ds.domain_sizes(), 1.0);
-  check([&](int threads) {
-    Rng root(5);
-    Options options;
-    options.threads = threads;
-    return RunMultidim(rsfd, ds, root, options);
-  });
-
-  std::vector<std::vector<double>> priors;
-  for (int kj : ds.domain_sizes()) {
-    priors.push_back(std::vector<double>(kj, 1.0 / kj));
-  }
-  multidim::RsRfd rsrfd(multidim::RsRfdVariant::kGrr, ds.domain_sizes(), 1.0,
-                        priors);
-  check([&](int threads) {
-    Rng root(6);
-    Options options;
-    options.threads = threads;
-    return RunMultidim(rsrfd, ds, root, options);
-  });
+  const std::vector<std::uint64_t> a = UserDraws(5000, root, Options{});
+  const std::vector<std::uint64_t> b = UserDraws(5000, root, Options{});
+  EXPECT_NE(a, b);  // same root, advanced stream
 }
 
 }  // namespace

@@ -186,13 +186,12 @@ TEST(SimFastProfile, SplAgrees) {
   for (fo::Protocol fo_protocol : {fo::Protocol::kGrr, fo::Protocol::kOue}) {
     const multidim::Spl protocol(fo_protocol, ds.domain_sizes(), kEpsilon);
     Rng legacy_rng(707), fast_rng(808);
-    multidim::Spl::StreamAggregator agg(protocol);
-    std::vector<int> record(ds.d());
+    std::vector<std::vector<fo::Report>> reports;
+    reports.reserve(ds.n());
     for (int i = 0; i < ds.n(); ++i) {
-      for (int j = 0; j < ds.d(); ++j) record[j] = ds.value(i, j);
-      agg.AccumulateRecord(record, legacy_rng);
+      reports.push_back(protocol.RandomizeUser(ds.Record(i), legacy_rng));
     }
-    const auto legacy = agg.Estimate();
+    const auto legacy = protocol.Estimate(reports);
     const auto fast =
         multidim::EstimateClosedForm(protocol, TestHistograms(), n, fast_rng);
     ExpectWithinTolerance(
@@ -214,13 +213,12 @@ TEST(SimFastProfile, SmpAgrees) {
   for (fo::Protocol fo_protocol : {fo::Protocol::kGrr, fo::Protocol::kOue}) {
     const multidim::Smp protocol(fo_protocol, ds.domain_sizes(), kEpsilon);
     Rng legacy_rng(909), fast_rng(111);
-    multidim::Smp::StreamAggregator agg(protocol);
-    std::vector<int> record(ds.d());
+    std::vector<multidim::SmpReport> reports;
+    reports.reserve(ds.n());
     for (int i = 0; i < ds.n(); ++i) {
-      for (int j = 0; j < ds.d(); ++j) record[j] = ds.value(i, j);
-      agg.AccumulateRecord(record, legacy_rng);
+      reports.push_back(protocol.RandomizeUser(ds.Record(i), legacy_rng));
     }
-    const auto legacy = agg.Estimate();
+    const auto legacy = protocol.Estimate(reports);
     const auto fast =
         multidim::EstimateClosedForm(protocol, TestHistograms(), n, fast_rng);
     ExpectWithinTolerance(
