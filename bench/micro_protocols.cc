@@ -42,21 +42,6 @@ void BM_RandomizeAndSupport(benchmark::State& state, fo::Protocol protocol) {
   benchmark::DoNotOptimize(counts);
 }
 
-// The batched engine's fused client+server path (no Report materialized);
-// compare against BM_RandomizeAndSupport at the same k.
-void BM_FusedAggregate(benchmark::State& state, fo::Protocol protocol) {
-  const int k = static_cast<int>(state.range(0));
-  auto oracle = fo::MakeOracle(protocol, k, 1.0);
-  auto agg = oracle->MakeAggregator();
-  Rng rng(2);
-  int v = 0;
-  for (auto _ : state) {
-    agg->AccumulateValue(v, rng);
-    v = (v + 1) % k;
-  }
-  benchmark::DoNotOptimize(agg->counts().data());
-}
-
 void BM_Attack(benchmark::State& state, fo::Protocol protocol) {
   const int k = static_cast<int>(state.range(0));
   auto oracle = fo::MakeOracle(protocol, k, 1.0);
@@ -125,11 +110,6 @@ BENCHMARK_CAPTURE(BM_Randomize, oue, fo::Protocol::kOue)->Arg(16)->Arg(256);
 BENCHMARK_CAPTURE(BM_RandomizeAndSupport, grr, fo::Protocol::kGrr)->Arg(64);
 BENCHMARK_CAPTURE(BM_RandomizeAndSupport, olh, fo::Protocol::kOlh)->Arg(64);
 BENCHMARK_CAPTURE(BM_RandomizeAndSupport, oue, fo::Protocol::kOue)->Arg(64);
-BENCHMARK_CAPTURE(BM_FusedAggregate, grr, fo::Protocol::kGrr)->Arg(64);
-BENCHMARK_CAPTURE(BM_FusedAggregate, olh, fo::Protocol::kOlh)->Arg(64);
-BENCHMARK_CAPTURE(BM_FusedAggregate, ss, fo::Protocol::kSs)->Arg(64);
-BENCHMARK_CAPTURE(BM_FusedAggregate, sue, fo::Protocol::kSue)->Arg(64);
-BENCHMARK_CAPTURE(BM_FusedAggregate, oue, fo::Protocol::kOue)->Arg(64);
 BENCHMARK_CAPTURE(BM_Attack, grr, fo::Protocol::kGrr)->Arg(64);
 BENCHMARK_CAPTURE(BM_Attack, olh, fo::Protocol::kOlh)->Arg(64);
 BENCHMARK_CAPTURE(BM_Attack, sue, fo::Protocol::kSue)->Arg(64);

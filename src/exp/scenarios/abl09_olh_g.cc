@@ -20,6 +20,8 @@
 #include "exp/experiment.h"
 #include "exp/grid_runner.h"
 #include "fo/olh.h"
+#include "fo/wire.h"
+#include "serve/collector.h"
 
 namespace {
 
@@ -65,8 +67,18 @@ void Run(exp::Context& ctx) {
           for (int& v : values) v = population.Sample(rng);
           const std::vector<double> truth = EmpiricalFrequency(values, k);
 
+          // Each user's report takes the serving path: its wire image is
+          // ingested and the drained counts feed Eq. (2).
           fo::Olh oracle(k, eps, gs[point]);
-          const double mse = Mse(truth, oracle.EstimateFrequencies(values, rng));
+          serve::Collector collector(oracle, {.lanes = 1});
+          for (int v : values) {
+            const std::vector<std::uint8_t> frame =
+                fo::SerializeReport(oracle, oracle.Randomize(v, rng));
+            collector.Ingest({.frame = frame});
+          }
+          const serve::Collector::Drained drained = collector.Drain();
+          const double mse = Mse(
+              truth, oracle.EstimateFromCounts(drained.counts, drained.n));
           const double acc =
               attack::EmpiricalAttackAccPercent(oracle, values, rng);
           return std::vector<double>{mse, acc};

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/check.h"
-#include "fo/bitslice.h"
 
 namespace ldpr::fo {
 
@@ -58,16 +57,6 @@ std::vector<double> FrequencyOracle::EstimateFromCounts(
   return est;
 }
 
-std::vector<double> FrequencyOracle::EstimateFrequencies(
-    const std::vector<int>& values, Rng& rng) const {
-  LDPR_REQUIRE(!values.empty(), "EstimateFrequencies requires >= 1 value");
-  // AccumulateValues consumes `rng` exactly like the historical Randomize +
-  // AccumulateSupport loop, so results are bit-identical.
-  std::unique_ptr<Aggregator> agg = MakeAggregator();
-  agg->AccumulateValues(values, rng);
-  return agg->Estimate();
-}
-
 void FrequencyOracle::BatchRandomize(const int* values, std::size_t count,
                                      Rng& rng, const ReportSink& sink) const {
   for (std::size_t i = 0; i < count; ++i) {
@@ -86,49 +75,6 @@ Aggregator::Aggregator(const FrequencyOracle& oracle)
 void Aggregator::Accumulate(const Report& report) {
   oracle_.AccumulateSupport(report, &counts_);
   ++n_;
-}
-
-std::uint8_t* Aggregator::StageRowSlot(std::size_t stride) {
-  if (staging_.empty()) {
-    staging_stride_ = stride;
-    staging_.assign(
-        static_cast<std::size_t>(bitslice::kBlockRows) * stride +
-            bitslice::kRowTailSlack,
-        0);
-  }
-  return staging_.data() +
-         static_cast<std::size_t>(staged_rows_) * staging_stride_;
-}
-
-void Aggregator::CommitStagedRow() {
-  if (++staged_rows_ == bitslice::kBlockRows) FlushStaged();
-}
-
-void Aggregator::FlushStaged() const {
-  if (staged_rows_ == 0) return;
-  // Logically const (see the header): only the internal representation of
-  // already-accumulated reports moves from staged rows into counts_.
-  Aggregator* self = const_cast<Aggregator*>(this);
-  const int rows = self->staged_rows_;
-  self->staged_rows_ = 0;
-  self->AccumulateWireBlock(self->staging_.data(), self->staging_stride_,
-                            rows);
-}
-
-void Aggregator::AccumulateValue(int value, Rng& rng) {
-  Report r = oracle_.Randomize(value, rng);
-  Accumulate(r);
-}
-
-void Aggregator::AccumulateValues(const int* values, std::size_t count,
-                                  Rng& rng) {
-  for (std::size_t i = 0; i < count; ++i) AccumulateValue(values[i], rng);
-  FlushStaged();
-  std::vector<std::uint8_t>().swap(staging_);
-}
-
-void Aggregator::AccumulateValues(const std::vector<int>& values, Rng& rng) {
-  AccumulateValues(values.data(), values.size(), rng);
 }
 
 void Aggregator::AccumulateHistogram(const std::vector<long long>& histogram,
@@ -171,8 +117,6 @@ void Aggregator::Merge(const Aggregator& other) {
   LDPR_REQUIRE(oracle_.protocol() == other.oracle_.protocol() &&
                    counts_.size() == other.counts_.size(),
                "cannot merge aggregators of different protocols/domains");
-  FlushStaged();
-  other.FlushStaged();
   for (std::size_t v = 0; v < counts_.size(); ++v) {
     counts_[v] += other.counts_[v];
   }
@@ -182,17 +126,10 @@ void Aggregator::Merge(const Aggregator& other) {
 void Aggregator::Reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
   n_ = 0;
-  staged_rows_ = 0;
 }
 
 std::vector<double> Aggregator::Estimate() const {
-  FlushStaged();
   return oracle_.EstimateFromCounts(counts_, n_);
-}
-
-std::vector<double> Aggregator::Estimate(ConsistencyMethod method,
-                                         double threshold) const {
-  return MakeConsistent(Estimate(), method, threshold);
 }
 
 double FrequencyOracle::EstimatorVariance(long long n, double f) const {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/rng.h"
-#include "fo/consistency.h"
 
 namespace ldpr::fo {
 
@@ -99,10 +98,6 @@ class FrequencyOracle {
   std::vector<double> EstimateFromCounts(const std::vector<long long>& counts,
                                          long long n) const;
 
-  /// Convenience: randomize every value, then estimate.
-  std::vector<double> EstimateFrequencies(const std::vector<int>& values,
-                                          Rng& rng) const;
-
   /// Per-estimate variance of Eq. 2 at true frequency f (Wang et al. 2017):
   /// Var = q(1-q) / (n (p-q)^2) + f (1 - p - q) / (n (p - q)).
   double EstimatorVariance(long long n, double f = 0.0) const;
@@ -127,9 +122,9 @@ class FrequencyOracle {
 };
 
 /// Streaming server-side aggregator: support counts plus the number of
-/// accumulated reports, nothing else. Feed it reports one at a time
-/// (Accumulate), true values to randomize on the fly (AccumulateValue),
-/// blocks of wire frames (AccumulateWireBlock), or whole true-value
+/// accumulated reports, nothing else. Feed it blocks of wire frames
+/// (AccumulateWireBlock — the path every served report takes), single
+/// reports (Accumulate, the scalar reference), or whole true-value
 /// histograms (AccumulateHistogram); shard-local aggregators Merge into one
 /// before Estimate. No per-user Report vector is ever materialized on any
 /// of these paths.
@@ -144,30 +139,10 @@ class Aggregator {
   Aggregator(const Aggregator&) = delete;
   Aggregator& operator=(const Aggregator&) = delete;
 
-  /// Server side: folds one report's support into the counts. The base is
-  /// the oracle's scalar AccumulateSupport walk, which GRR (one increment)
-  /// and SS (omega increments) keep because it measures fastest for them.
-  /// The UE and OLH aggregators override it to *stage* the report — packing
-  /// its exact SerializeReport image into an internal block of wire rows and
-  /// deferring all decode work to their AccumulateWireBlock kernels. Staging
-  /// is invisible: every read of the state (counts(), n(), Estimate(),
-  /// Merge() — both sides) drains it first, and integer support sums
-  /// commute, so results stay bit-identical to the scalar AccumulateSupport
-  /// loop wherever the flush boundaries fall.
-  virtual void Accumulate(const Report& report);
-
-  /// Client + server: randomizes `value` and accumulates its support. Draws
-  /// from `rng` exactly like Randomize(value, rng) (bit-identical stream).
-  /// The base runs Randomize then Accumulate, so UE and OLH reach their
-  /// block kernels from here too; GRR and SS override it to tally the
-  /// randomized support directly, skipping the Report.
-  virtual void AccumulateValue(int value, Rng& rng);
-
-  /// AccumulateValue over a span of values. Ends by draining and freeing
-  /// the staging block, so the caller holds finished counts and no staging
-  /// buffer once it returns.
-  void AccumulateValues(const int* values, std::size_t count, Rng& rng);
-  void AccumulateValues(const std::vector<int>& values, Rng& rng);
+  /// Server side: folds one report's support into the counts with the
+  /// oracle's scalar AccumulateSupport walk — the reference the block
+  /// kernels are pinned against (WireDecoder::DecodeInto feeds it).
+  void Accumulate(const Report& report);
 
   /// Closed-form batch: draws the aggregate support counts of
   /// histogram[v]-many users holding each value v in O(k) RNG draws total,
@@ -212,49 +187,22 @@ class Aggregator {
   /// Folds another aggregator of the same protocol/domain into this one.
   void Merge(const Aggregator& other);
 
-  /// Empties the aggregator in place — counts, n and any staged rows — so
-  /// it reads like a fresh MakeAggregator() result while keeping its
-  /// buffers (serve::Collector resets its lanes this way at every seal).
+  /// Empties the aggregator in place — counts and n — so it reads like a
+  /// fresh MakeAggregator() result while keeping its buffers
+  /// (serve::Collector resets its lanes this way at every seal).
   void Reset();
 
   /// Unbiased Eq. (2) estimate over everything accumulated so far.
   std::vector<double> Estimate() const;
 
-  /// Estimate followed by consistency post-processing (NDSS'20).
-  std::vector<double> Estimate(ConsistencyMethod method,
-                               double threshold = 0.0) const;
-
-  const std::vector<long long>& counts() const {
-    FlushStaged();
-    return counts_;
-  }
-  long long n() const {
-    FlushStaged();
-    return n_;
-  }
+  const std::vector<long long>& counts() const { return counts_; }
+  long long n() const { return n_; }
   const FrequencyOracle& oracle() const { return oracle_; }
 
  protected:
-  /// Lazily allocates the report-side staging block (bitslice::kBlockRows
-  /// rows of `stride` bytes plus tail slack, zeroed) and returns the next
-  /// free row for a staged Accumulate override to pack a wire image into.
-  std::uint8_t* StageRowSlot(std::size_t stride);
-  /// Commits the row returned by StageRowSlot; flushes the block through
-  /// AccumulateWireBlock when it fills.
-  void CommitStagedRow();
-  /// Drains staged rows into counts_/n_. Const because staging is a deferred
-  /// materialization of reports already Accumulated — the logical state (the
-  /// multiset of accumulated reports) does not change, only where it lives.
-  void FlushStaged() const;
-
   const FrequencyOracle& oracle_;
   std::vector<long long> counts_;
   long long n_ = 0;
-
- private:
-  std::vector<std::uint8_t> staging_;  ///< wire rows, see StageRowSlot
-  std::size_t staging_stride_ = 0;
-  int staged_rows_ = 0;
 };
 
 }  // namespace ldpr::fo

@@ -51,20 +51,6 @@ class GrrAggregator : public Aggregator {
 
   using Aggregator::Aggregator;
 
-  void AccumulateValue(int value, Rng& rng) override {
-    const int k = oracle_.k();
-    LDPR_REQUIRE(value >= 0 && value < k,
-                 "value " << value << " outside [0, " << k << ")");
-    // Same draws as Grr::Perturb, tallied without building a Report.
-    if (rng.Bernoulli(oracle_.p())) {
-      ++counts_[value];
-    } else {
-      int other = static_cast<int>(rng.UniformInt(k - 1));
-      ++counts_[other >= value ? other + 1 : other];
-    }
-    ++n_;
-  }
-
   void AccumulateWireBlock(const std::uint8_t* frames, std::size_t stride,
                            int count) override {
     // One big-endian word load per frame: the value is the top

@@ -22,7 +22,7 @@ class Grr : public FrequencyOracle {
   int AttackPredict(const Report& report, Rng& rng) const override;
   Protocol protocol() const override { return Protocol::kGrr; }
 
-  /// Fused tally aggregator; its histogram path draws the report counts as
+  /// Block-tally aggregator; its histogram path draws the report counts as
   /// one sum-preserving multinomial per true-value group (jointly exact).
   std::unique_ptr<Aggregator> MakeAggregator() const override;
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -331,30 +330,6 @@ class OlhAggregator : public Aggregator {
  public:
   explicit OlhAggregator(const Olh& oracle) : Aggregator(oracle) {}
 
-  void Accumulate(const Report& report) override {
-    // Stage the (seed, hashed value) pair as its SerializeReport image —
-    // seed big-endian, value MSB-first with zero padding — so the k-hash
-    // preimage walk runs through the batched SweepValues kernel at flush
-    // instead of one UniversalHash evaluation per (report, value) here.
-    const Olh& olh = static_cast<const Olh&>(oracle_);
-    const int g = olh.g();
-    LDPR_REQUIRE(report.value >= 0 && report.value < g,
-                 "OLH hashed value out of range");
-    const int width = CeilLog2(g);
-    const std::size_t frame_bytes =
-        static_cast<std::size_t>((64 + width + 7) / 8);
-    std::uint8_t* row = StageRowSlot(bitslice::RowStride(frame_bytes));
-    const std::uint64_t seed_be = __builtin_bswap64(report.hash_seed);
-    std::memcpy(row, &seed_be, sizeof(seed_be));
-    const int vbytes = (width + 7) / 8;
-    const std::uint64_t v = static_cast<std::uint64_t>(report.value)
-                            << (vbytes * 8 - width);
-    for (int b = 0; b < vbytes; ++b) {
-      row[8 + b] = static_cast<std::uint8_t>(v >> (8 * (vbytes - 1 - b)));
-    }
-    CommitStagedRow();
-  }
-
   void AccumulateWireBlock(const std::uint8_t* frames, std::size_t stride,
                            int count) override {
     // Batched preimage walk. Per block: decode every frame's 64-bit seed
@@ -412,6 +387,7 @@ int Olh::AttackPredict(const Report& report, Rng& rng) const {
   // back to a uniform guess over the whole domain.
   UniversalHash h(report.hash_seed, g_);
   std::vector<int> preimage;
+  preimage.reserve(k());
   for (int v = 0; v < k(); ++v) {
     if (h(v) == report.value) preimage.push_back(v);
   }

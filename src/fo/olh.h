@@ -33,8 +33,8 @@ class Olh : public FrequencyOracle {
   int AttackPredict(const Report& report, Rng& rng) const override;
   Protocol protocol() const override { return Protocol::kOlh; }
 
-  /// Stages every report's wire image and counts hash preimages a block at
-  /// a time (batched xxHash64 sweep, scalar/AVX2/AVX-512).
+  /// Counts hash preimages a wire block at a time (batched xxHash64 sweep,
+  /// scalar/AVX2/AVX-512).
   std::unique_ptr<Aggregator> MakeAggregator() const override;
 
   /// The reduced domain size g = round(e^eps) + 1 (at least 2).

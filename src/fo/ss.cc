@@ -27,22 +27,6 @@ class SsAggregator : public Aggregator {
       : Aggregator(oracle),
         table_(oracle.omega(), CeilLog2(oracle.k())) {}
 
-  void AccumulateValue(int value, Rng& rng) override {
-    const Ss& ss = static_cast<const Ss&>(oracle_);
-    const int k = ss.k();
-    LDPR_REQUIRE(value >= 0 && value < k, "SS value out of range");
-    // Same draws as Ss::Randomize (the sort there consumes no randomness).
-    const bool include_true = rng.Bernoulli(ss.p());
-    const int extra = include_true ? ss.omega() - 1 : ss.omega();
-    rng.SampleWithoutReplacementInto(k - 1, extra, &scratch_);
-    if (include_true) ++counts_[value];
-    for (int i = 0; i < extra; ++i) {
-      const int o = scratch_[i];
-      ++counts_[o >= value ? o + 1 : o];
-    }
-    ++n_;
-  }
-
   void AccumulateWireBlock(const std::uint8_t* frames, std::size_t stride,
                            int count) override {
     // omega word-extracted field tallies per frame — no per-bit cursor, no
@@ -83,7 +67,6 @@ class SsAggregator : public Aggregator {
 
  private:
   const bitslice::PackedFieldTable table_;
-  std::vector<int> scratch_;
 };
 
 }  // namespace

@@ -31,8 +31,8 @@ class Ss : public FrequencyOracle {
                       const ReportSink& sink) const override;
   using FrequencyOracle::BatchRandomize;
 
-  /// Fused subset tallies: samples Omega with a reusable index buffer and
-  /// increments the counts directly, never materializing a Report.
+  /// Tallies the omega subset fields of each wire block row, one word load
+  /// per field (PackedFieldTable).
   std::unique_ptr<Aggregator> MakeAggregator() const override;
 
   /// Subset size omega.

@@ -52,39 +52,6 @@ class UeAggregator : public Aggregator {
  public:
   using Aggregator::Aggregator;
 
-  void Accumulate(const Report& report) override {
-    // Stage the bit vector as its wire image (k MSB-first bits, zero
-    // padding) and defer the column sums to the SWAR block kernel below.
-    // Any nonzero byte counts as a set bit, exactly like AccumulateSupport.
-    // Packing is SWAR too: 8 bit-bytes collapse to one wire byte via an
-    // OR-fold to 0/1 lanes and a carry-free gather multiply (every partial
-    // product lands on a distinct bit).
-    const int k = oracle_.k();
-    LDPR_REQUIRE(static_cast<int>(report.bits.size()) == k,
-                 "UE report has " << report.bits.size() << " bits, expected "
-                                  << k);
-    std::uint8_t* row = StageRowSlot(
-        bitslice::RowStride(static_cast<std::size_t>((k + 7) / 8)));
-    const std::uint8_t* bits = report.bits.data();
-    int byte = 0;
-    for (; (byte + 1) * 8 <= k; ++byte) {
-      std::uint64_t x = bitslice::Load64(bits + byte * 8);
-      x = (x | (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
-      x = (x | (x >> 2)) & 0x0303030303030303ULL;
-      x = (x | (x >> 1)) & 0x0101010101010101ULL;
-      // byte-lane j (bits[8*byte + j]) -> wire bit 7 - j of this byte
-      row[byte] = static_cast<std::uint8_t>((x * 0x8040201008040201ULL) >> 56);
-    }
-    if (byte * 8 < k) {
-      unsigned tail = 0;
-      for (int b = 0; byte * 8 + b < k; ++b) {
-        tail |= (bits[byte * 8 + b] != 0 ? 1u : 0u) << (7 - b);
-      }
-      row[byte] = static_cast<std::uint8_t>(tail);
-    }
-    CommitStagedRow();
-  }
-
   void AccumulateWireBlock(const std::uint8_t* frames, std::size_t stride,
                            int count) override {
     // Bitsliced column sums. The staged rows are one UE bit vector each

@@ -31,8 +31,7 @@ class UnaryEncoding : public FrequencyOracle {
                       const ReportSink& sink) const override;
   using FrequencyOracle::BatchRandomize;
 
-  /// Stages every report's wire image and sums bit columns a block at a
-  /// time (SWAR byte-lane counters).
+  /// Sums bit columns a wire block at a time (SWAR byte-lane counters).
   std::unique_ptr<Aggregator> MakeAggregator() const override;
 
   /// Applies the bit-flip channel to an arbitrary input bit vector. This is

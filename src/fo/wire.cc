@@ -1,6 +1,7 @@
 #include "fo/wire.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "core/check.h"
@@ -12,13 +13,7 @@ namespace ldpr::fo {
 
 int CeilLog2(long long n) {
   LDPR_CHECK(n >= 1, "CeilLog2 requires n >= 1");
-  int bits = 0;
-  long long capacity = 1;
-  while (capacity < n) {
-    capacity <<= 1;
-    ++bits;
-  }
-  return bits;
+  return std::bit_width(static_cast<unsigned long long>(n - 1));
 }
 
 bool ExactWireSize(std::span<const std::uint8_t> buffer, int bits) {
@@ -39,12 +34,15 @@ void BitWriter::Write(std::uint64_t value, int width) {
                  "value " << value << " does not fit in " << width
                           << " bits");
   }
-  for (int i = width - 1; i >= 0; --i) {
-    const int bit = static_cast<int>((value >> i) & 1);
-    const int offset = bit_count_ % 8;
+  // Fill the open byte, then whole bytes, MSB-first.
+  for (int offset = bit_count_ % 8; width > 0; offset = 0) {
     if (offset == 0) bytes_.push_back(0);
-    bytes_.back() |= static_cast<std::uint8_t>(bit << (7 - offset));
-    ++bit_count_;
+    const int take = std::min(8 - offset, width);
+    width -= take;
+    const unsigned chunk =
+        static_cast<unsigned>(value >> width) & ((1u << take) - 1u);
+    bytes_.back() |= static_cast<std::uint8_t>(chunk << (8 - offset - take));
+    bit_count_ += take;
   }
 }
 
@@ -83,11 +81,11 @@ int SerializedReportBits(const FrequencyOracle& oracle) {
 
 std::vector<std::uint8_t> SerializeReport(const FrequencyOracle& oracle,
                                           const Report& report) {
-  BitWriter writer;
+  const int bits = SerializedReportBits(oracle);
+  BitWriter writer(bits);
   AppendReport(oracle, report, &writer);
-  LDPR_CHECK(writer.bit_count() == SerializedReportBits(oracle),
-             "serialized width mismatch");
-  return writer.bytes();
+  LDPR_CHECK(writer.bit_count() == bits, "serialized width mismatch");
+  return std::move(writer).bytes();
 }
 
 void AppendReport(const FrequencyOracle& oracle, const Report& report,
@@ -131,10 +129,19 @@ void AppendReport(const FrequencyOracle& oracle, const Report& report,
       LDPR_REQUIRE(static_cast<int>(report.bits.size()) == k,
                    "UE bit vector has " << report.bits.size()
                                         << " bits, expected " << k);
+      // 64 bits per Write.
+      std::uint64_t word = 0;
+      int filled = 0;
       for (std::uint8_t bit : report.bits) {
         LDPR_REQUIRE(bit <= 1, "UE bits must be 0/1");
-        writer.Write(bit, 1);
+        word = word << 1 | bit;
+        if (++filled == 64) {
+          writer.Write(word, 64);
+          word = 0;
+          filled = 0;
+        }
       }
+      writer.Write(word, filled);
       break;
     }
   }

@@ -35,6 +35,11 @@ namespace ldpr::fo {
 /// Append-only MSB-first bit buffer.
 class BitWriter {
  public:
+  /// `capacity_bits` reserves room for that many bits up front.
+  explicit BitWriter(int capacity_bits = 0) {
+    bytes_.reserve(static_cast<std::size_t>((capacity_bits + 7) / 8));
+  }
+
   /// Appends the low `width` bits of `value` (width in [0, 64]).
   void Write(std::uint64_t value, int width);
 
@@ -42,7 +47,8 @@ class BitWriter {
   int bit_count() const { return bit_count_; }
 
   /// The packed bytes (the final partial byte is zero-padded).
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  const std::vector<std::uint8_t>& bytes() const& { return bytes_; }
+  std::vector<std::uint8_t> bytes() && { return std::move(bytes_); }
 
  private:
   std::vector<std::uint8_t> bytes_;
@@ -102,9 +108,10 @@ Report DeserializeReport(const FrequencyOracle& oracle,
 /// frame and StageField one field of a packed tuple (copying its image into
 /// a staging row), both deferring decode work to the block kernels
 /// (fo::Aggregator::AccumulateWireBlock); DecodeInto checks and decodes one
-/// frame into a Report and hands it to Aggregator::Accumulate, and is the
-/// accept-set reference Validate is pinned against. (The kernels' count
-/// reference is DeserializeReport plus FrequencyOracle::AccumulateSupport.)
+/// frame into a Report and folds it in with Aggregator::Accumulate (the
+/// scalar AccumulateSupport walk), and is the accept-set reference Validate
+/// is pinned against. (The kernels' count reference is DeserializeReport
+/// plus FrequencyOracle::AccumulateSupport.)
 ///
 /// Acceptance is strict — stricter than DeserializeReport: the buffer must
 /// be exactly the report's width rounded up to whole bytes, the zero-padding

@@ -1,5 +1,6 @@
 #include "serve/epoch_schedule.h"
 
+#include <climits>
 #include <cstdlib>
 
 #include "core/check.h"
@@ -56,7 +57,8 @@ namespace {
 int ParsePositiveInt(const std::string& spec, const std::string& token) {
   char* end = nullptr;
   const long value = std::strtol(token.c_str(), &end, 10);
-  LDPR_REQUIRE(end != token.c_str() && *end == '\0' && value >= 1,
+  LDPR_REQUIRE(end != token.c_str() && *end == '\0' && value >= 1 &&
+                   value <= INT_MAX,
                "bad window spec '" << spec << "': '" << token
                                   << "' is not a positive integer");
   return static_cast<int>(value);

@@ -30,7 +30,7 @@ EncodedFrames EncodeRecordFrames(
                                                   Rng&)>& encode) {
   const long long n = dataset.n();
   LDPR_REQUIRE(n >= 1, "load generation requires a non-empty dataset");
-  const int shards = sim::ResolveShardCount(n, options);
+  const int shards = sim::AutoShardCount(n);
   std::vector<std::vector<std::uint8_t>> shard_bytes(shards);
   std::vector<std::vector<std::size_t>> shard_sizes(shards);
   sim::ShardedRun(n, root, options,
@@ -146,7 +146,7 @@ EncodedStream LongitudinalClients::EncodeRound(const std::vector<int>& values,
   out.count = n;
   out.frame_bytes = frame_bytes_;
   out.bytes.assign(static_cast<std::size_t>(n) * frame_bytes_, 0);
-  const int shards = sim::ResolveShardCount(n, options);
+  const int shards = sim::AutoShardCount(n);
   std::vector<long long> shard_fresh(shards, 0);
   std::vector<long long> shard_memoized(shards, 0);
   sim::ShardedRun(

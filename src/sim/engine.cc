@@ -19,14 +19,10 @@ int AutoShardCount(long long n) {
   return static_cast<int>(std::clamp<long long>(shards, 1, 256));
 }
 
-int ResolveShardCount(long long n, const Options& options) {
-  return options.num_shards > 0 ? options.num_shards : AutoShardCount(n);
-}
-
 void ShardedRun(
     long long n, Rng& root, const Options& options,
     const std::function<void(int, long long, long long, Rng&)>& fn) {
-  const int shards = ResolveShardCount(n, options);
+  const int shards = AutoShardCount(n);
   if (shards <= 0) return;
   // One Split advances the root (so back-to-back runs get fresh streams);
   // Fork(s) then derives shard streams without any shared mutable state.
@@ -48,7 +44,7 @@ void RunCells(long long num_cells, const std::function<void(long long)>& fn,
 long long ShardedTally(
     long long n, Rng& root, const Options& options,
     const std::function<long long(long long, long long, Rng&)>& counter) {
-  const int shards = ResolveShardCount(n, options);
+  const int shards = AutoShardCount(n);
   std::vector<long long> tallies(std::max(shards, 0), 0);
   ShardedRun(n, root, options,
              [&](int shard, long long lo, long long hi, Rng& rng) {

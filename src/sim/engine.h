@@ -11,21 +11,17 @@ namespace ldpr::sim {
 /// for one seed regardless of the machine: shard boundaries and shard RNG
 /// streams depend only on n (never on the thread count or LDPR_THREADS).
 struct Options {
-  int threads = 0;     ///< ParallelFor workers; 0 = LDPR_THREADS / cores.
-  int num_shards = 0;  ///< 0 = AutoShardCount(n).
+  int threads = 0;  ///< ParallelFor workers; 0 = LDPR_THREADS / cores.
 };
 
 /// Deterministic shard count for n users — a function of n only.
 int AutoShardCount(long long n);
 
-/// options.num_shards, or AutoShardCount(n) when unset.
-int ResolveShardCount(long long n, const Options& options);
-
-/// Runs fn(shard, begin, end, rng) over ResolveShardCount(n, options)
-/// contiguous user ranges in parallel. Shard s draws from an independent
-/// stream Forked off one Split of `root`, so a fixed root seed gives
-/// identical results under any thread count; `root` advances by exactly one
-/// Split per call, so successive ShardedRun calls see fresh streams.
+/// Runs fn(shard, begin, end, rng) over AutoShardCount(n) contiguous user
+/// ranges in parallel. Shard s draws from an independent stream Forked off
+/// one Split of `root`, so a fixed root seed gives identical results under
+/// any thread count; `root` advances by exactly one Split per call, so
+/// successive ShardedRun calls see fresh streams.
 void ShardedRun(
     long long n, Rng& root, const Options& options,
     const std::function<void(int, long long, long long, Rng&)>& fn);

@@ -114,6 +114,12 @@ TEST_F(ExpGoldenTest, Abl05BitIdentical) { RunAndCompare("abl05", "abl05.txt"); 
 
 TEST_F(ExpGoldenTest, Abl10BitIdentical) { RunAndCompare("abl10", "abl10.txt"); }
 
+// abl09.txt was captured from the registry scenario itself, under the
+// environment above, before its estimates moved onto wire frames through
+// serve::Collector (same RNG stream, same integer counts). It pins that
+// port and is never re-pinned.
+TEST_F(ExpGoldenTest, Abl09BitIdentical) { RunAndCompare("abl09", "abl09.txt"); }
+
 TEST_F(ExpGoldenTest, Fig05FastPinned) {
   RunAndCompareFast("fig05", "fig05_fast.txt");
 }

@@ -1,20 +1,21 @@
-// Exactness of the batched collection pipeline (satellite 1 of the batched
-// randomize/aggregate issue): for every protocol, the three batched paths —
-// BatchRandomize into an Aggregator sink, Aggregator::AccumulateValue, and
-// EstimateFrequencies (which now runs on the aggregator) — must be
-// bit-identical to the scalar Randomize + AccumulateSupport loop for a fixed
-// seed, including the RNG stream they leave behind; and merging K shard
-// aggregators must equal one aggregator over the concatenated input. UE and
-// OLH reach their staged wire-image packers and block kernels from every one
-// of these paths, so each check runs at domain sizes on both sides of the
-// packers' byte and 64-bit word boundaries.
+// Exactness of the batched collection pipeline: for every protocol, the
+// batched paths — BatchRandomize into an Aggregator sink, and wire images of
+// the randomized reports decoded by AccumulateWireBlock (the path every
+// served report takes) — must be bit-identical to the scalar Randomize +
+// AccumulateSupport loop for a fixed seed, including the RNG stream they
+// leave behind; and merging K shard aggregators must equal one aggregator
+// over the concatenated input. Each check runs at domain sizes on both sides
+// of the wire images' byte and 64-bit word boundaries.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "core/rng.h"
+#include "fo/bitslice.h"
 #include "fo/factory.h"
+#include "fo/wire.h"
 
 namespace ldpr::fo {
 namespace {
@@ -66,7 +67,7 @@ TEST_P(BatchExactTest, BatchRandomizeSinkMatchesScalarBitwise) {
   }
 }
 
-TEST_P(BatchExactTest, FusedAccumulateValueMatchesScalarBitwise) {
+TEST_P(BatchExactTest, WireBlockPathMatchesScalarBitwise) {
   for (int k : kDomains) {
     SCOPED_TRACE("k=" + std::to_string(k));
     auto oracle = MakeOracle(GetParam(), k, kEpsilon);
@@ -76,20 +77,30 @@ TEST_P(BatchExactTest, FusedAccumulateValueMatchesScalarBitwise) {
     const std::vector<long long> expected =
         ScalarCounts(*oracle, values, scalar_rng);
 
-    Rng fused_rng(kSeed);
+    // Each report's wire image in its own row, decoded a staging block
+    // (kBlockRows rows) at a time, as serve::Collector lays them out.
+    Rng wire_rng(kSeed);
+    const std::size_t frame_bytes = WireDecoder(*oracle).report_bytes();
+    const std::size_t stride = bitslice::RowStride(frame_bytes);
+    std::vector<std::uint8_t> rows(values.size() * stride +
+                                       bitslice::kRowTailSlack,
+                                   0);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const std::vector<std::uint8_t> frame =
+          SerializeReport(*oracle, oracle->Randomize(values[i], wire_rng));
+      std::copy(frame.begin(), frame.end(), rows.begin() + i * stride);
+    }
     auto agg = oracle->MakeAggregator();
-    agg->AccumulateValues(values, fused_rng);
+    for (int done = 0; done < kUsers; done += bitslice::kBlockRows) {
+      agg->AccumulateWireBlock(rows.data() + done * stride, stride,
+                               std::min(bitslice::kBlockRows, kUsers - done));
+    }
 
     EXPECT_EQ(agg->counts(), expected);
-    EXPECT_EQ(scalar_rng(), fused_rng());
-
+    EXPECT_EQ(agg->n(), kUsers);
+    EXPECT_EQ(scalar_rng(), wire_rng());
     // Identical counts imply identical (not just close) estimates.
-    Rng est_rng(kSeed);
-    const std::vector<double> est =
-        oracle->EstimateFrequencies(values, est_rng);
-    const std::vector<double> expected_est =
-        oracle->EstimateFromCounts(expected, kUsers);
-    EXPECT_EQ(est, expected_est);
+    EXPECT_EQ(agg->Estimate(), oracle->EstimateFromCounts(expected, kUsers));
   }
 }
 
@@ -101,7 +112,7 @@ TEST_P(BatchExactTest, MergeOfShardsEqualsOneAggregator) {
 
     Rng whole_rng(kSeed);
     auto whole = oracle->MakeAggregator();
-    whole->AccumulateValues(values, whole_rng);
+    for (int v : values) whole->Accumulate(oracle->Randomize(v, whole_rng));
 
     // Same stream, split across K = 4 uneven shards (one of them empty).
     Rng shard_rng(kSeed);
@@ -109,8 +120,9 @@ TEST_P(BatchExactTest, MergeOfShardsEqualsOneAggregator) {
     auto merged = oracle->MakeAggregator();
     for (int s = 0; s + 1 < 5; ++s) {
       auto part = oracle->MakeAggregator();
-      part->AccumulateValues(values.data() + cuts[s], cuts[s + 1] - cuts[s],
-                             shard_rng);
+      for (std::size_t i = cuts[s]; i < cuts[s + 1]; ++i) {
+        part->Accumulate(oracle->Randomize(values[i], shard_rng));
+      }
       merged->Merge(*part);
     }
 

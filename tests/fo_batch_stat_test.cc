@@ -136,7 +136,7 @@ TEST_P(BatchStatTest, StreamingAndClosedFormAgreeInDistribution) {
   for (int r = 0; r < kPairRuns; ++r) {
     Rng rng_a = root.Fork(2 * r);
     auto streaming = oracle->MakeAggregator();
-    streaming->AccumulateValues(values, rng_a);
+    for (int v : values) streaming->Accumulate(oracle->Randomize(v, rng_a));
     streaming_mean += streaming->Estimate()[probe];
 
     Rng rng_b = root.Fork(2 * r + 1);

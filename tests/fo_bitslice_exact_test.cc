@@ -189,13 +189,8 @@ TEST_P(BitsliceExactTest, ValidateAcceptsExactlyWhatDecodeIntoAccepts) {
   }
 }
 
-// The batch (non-wire) path: the UE and OLH Aggregator::Accumulate stage
-// Report wire images and decode them through the same block kernels the
-// serve path uses (GRR and SS keep the scalar support walk, which measures
-// faster for them). The staging must be invisible: counts()/n() reads at
-// arbitrary fills flush pending rows and match a scalar AccumulateSupport
-// reference exactly, and later accumulation is undisturbed by the
-// mid-stream reads.
+// Aggregator::Accumulate, the scalar fold DecodeInto feeds: counts()/n()
+// read at arbitrary fills match a plain AccumulateSupport walk exactly.
 TEST_P(BitsliceExactTest, StagedBatchAccumulateMatchesScalarSupport) {
   auto oracle = MakeOracle(protocol(), k(), kEpsilon);
   Rng rng(kSeed ^ 0xBA7C);
@@ -222,9 +217,7 @@ TEST_P(BitsliceExactTest, StagedBatchAccumulateMatchesScalarSupport) {
   EXPECT_EQ(agg->Estimate(), oracle->EstimateFromCounts(ref_counts, kUsers));
 }
 
-// Merge must flush both sides' staged rows first: split the stream at
-// boundaries where one or both aggregators hold a partial block, and at an
-// exact block boundary for contrast.
+// Merging two Accumulate-fed halves equals the whole stream at any split.
 TEST_P(BitsliceExactTest, StagedMergeAtNonBlockBoundariesMatchesScalar) {
   auto oracle = MakeOracle(protocol(), k(), kEpsilon);
   Rng rng(kSeed ^ 0x3ED);

@@ -13,6 +13,7 @@
 #include "core/check.h"
 #include "core/sampling.h"
 #include "fo/bitslice.h"
+#include "fo/consistency.h"
 #include "fo/factory.h"
 #include "fo/wire.h"
 #include "serve/collector.h"
@@ -79,8 +80,7 @@ TEST_P(ServeCollectorTest, SnapshotBitIdenticalToBatchAggregator) {
   EXPECT_EQ(snapshot.counts, batch->counts());
   // Same integer counts, same Eq. (2) arithmetic: exact double equality.
   EXPECT_EQ(snapshot.frequencies, batch->Estimate());
-  EXPECT_EQ(snapshot.consistent,
-            batch->Estimate(fo::ConsistencyMethod::kNormSub));
+  EXPECT_EQ(snapshot.consistent, fo::NormSub(batch->Estimate()));
   EXPECT_EQ(snapshot.stats.reports, n);
   EXPECT_EQ(snapshot.stats.rejected, 0);
   EXPECT_EQ(snapshot.stats.bytes,

@@ -21,6 +21,7 @@
 #include "core/sampling.h"
 #include "data/longitudinal.h"
 #include "fo/bitslice.h"
+#include "fo/consistency.h"
 #include "fo/factory.h"
 #include "fo/wire.h"
 #include "serve/loadgen.h"
@@ -95,6 +96,9 @@ TEST(EpochScheduleTest, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(ParseEpochSchedule("bogus"), InvalidArgumentError);
   EXPECT_THROW(ParseEpochSchedule("sliding"), InvalidArgumentError);
   EXPECT_THROW(ParseEpochSchedule("sliding:0"), InvalidArgumentError);
+  // 2^32 + 1 would wrap to 1 if narrowed to int.
+  EXPECT_THROW(ParseEpochSchedule("sliding:4294967297"),
+               InvalidArgumentError);
   EXPECT_THROW(ParseEpochSchedule("fixed:x"), InvalidArgumentError);
   EXPECT_THROW(ParseEpochSchedule("overlap:4"), InvalidArgumentError);
   // stride > length is not a window sequence.
@@ -159,8 +163,7 @@ TEST_P(ServeLongitudinalTest, WindowSealsBitIdenticalToBatchRecompute) {
       EXPECT_EQ(window.n, batch->n());
       EXPECT_EQ(window.counts, batch->counts());
       EXPECT_EQ(window.frequencies, batch->Estimate());
-      EXPECT_EQ(window.consistent,
-                batch->Estimate(fo::ConsistencyMethod::kNormSub));
+      EXPECT_EQ(window.consistent, fo::NormSub(batch->Estimate()));
       EXPECT_EQ(window.last_epoch - window.first_epoch + 1,
                 schedule.length());
     }

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "sim/engine.h"
 
@@ -49,16 +50,14 @@ auto WithThreadsEnv(const char* threads, Fn fn) {
 }
 
 TEST(ShardedRunTest, ShardsPartitionTheRange) {
-  Rng root(1);
-  Options options;
-  options.num_shards = 7;
+  // ShardedRun's shard boundaries come from ParallelForShards; pin its
+  // contiguous partition at a shard count that does not divide n.
   std::vector<long long> seen(7, -1);
   std::vector<std::pair<long long, long long>> ranges(7);
-  ShardedRun(100, root, options,
-             [&](int shard, long long lo, long long hi, Rng&) {
-               seen[shard] = shard;
-               ranges[shard] = {lo, hi};
-             });
+  ParallelForShards(100, 7, [&](int shard, long long lo, long long hi) {
+    seen[shard] = shard;
+    ranges[shard] = {lo, hi};
+  });
   long long covered = 0;
   for (int s = 0; s < 7; ++s) {
     EXPECT_EQ(seen[s], s) << "shard " << s << " never ran";
