@@ -112,11 +112,18 @@ void AppendReport(const FrequencyOracle& oracle, const Report& report,
       LDPR_REQUIRE(static_cast<int>(report.subset.size()) == omega,
                    "SS subset has " << report.subset.size()
                                     << " values, expected " << omega);
-      std::vector<int> sorted = report.subset;
-      std::sort(sorted.begin(), sorted.end());
+      // Ss::Randomize and BatchRandomize emit sorted subsets, written as
+      // they are; only unsorted input pays for a sorted copy.
+      const std::vector<int>* subset = &report.subset;
+      std::vector<int> sorted;
+      if (!std::is_sorted(subset->begin(), subset->end())) {
+        sorted = report.subset;
+        std::sort(sorted.begin(), sorted.end());
+        subset = &sorted;
+      }
       const int width = CeilLog2(k);
       int previous = -1;
-      for (int v : sorted) {
+      for (int v : *subset) {
         LDPR_REQUIRE(v >= 0 && v < k, "SS subset value out of range");
         LDPR_REQUIRE(v != previous, "SS subset values must be distinct");
         writer.Write(static_cast<std::uint64_t>(v), width);

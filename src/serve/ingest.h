@@ -26,6 +26,8 @@
 
 namespace ldpr::serve {
 
+class UserTable;
+
 /// Why an ingest surface refused a frame. Every reject is counted under its
 /// reason (IngestCounters / ServerCounters); kNone never appears on a
 /// reject.
@@ -114,6 +116,11 @@ class IngestSink {
   virtual ~IngestSink() = default;
 
   virtual IngestResult Ingest(const IngestRequest& request) = 0;
+
+  /// The per-user table the sink classifies attributed frames against, or
+  /// null. A socket server runs its per-user admission on this table when
+  /// there is one, so admission and classification share a user's slot.
+  virtual UserTable* user_table() { return nullptr; }
 };
 
 }  // namespace ldpr::serve

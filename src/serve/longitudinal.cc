@@ -5,23 +5,10 @@
 #include <utility>
 
 #include "core/check.h"
-#include "core/hash.h"
 #include "fo/consistency.h"
 #include "obs/span.h"
 
 namespace ldpr::serve {
-
-namespace {
-
-// Fixed seed: frame hashes only need to agree with themselves within one
-// replay table.
-constexpr std::uint64_t kFrameHashSeed = 0x1d9ULL;
-
-// Replay-table shard count. Fixed (not tied to lane or thread count), so
-// shard assignment depends only on the user id.
-constexpr int kUserShards = 64;
-
-}  // namespace
 
 SnapshotDelta DiffSnapshots(const EstimateSnapshot& older,
                             const EstimateSnapshot& newer) {
@@ -45,63 +32,9 @@ SnapshotDelta DiffSnapshots(const EstimateSnapshot& older,
   return delta;
 }
 
-UserReplayTable::UserReplayTable(int shards) {
-  LDPR_CHECK(shards >= 1, "replay table needs at least one shard");
-  shards_.reserve(shards);
-  for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-UserReplayTable::FrameClass UserReplayTable::Classify(
-    long long user, std::span<const std::uint8_t> frame, long long epoch,
-    bool trust_replays) {
-  Shard& shard = *shards_[static_cast<std::size_t>(
-      (user % static_cast<long long>(shards_.size()) +
-       static_cast<long long>(shards_.size())) %
-      static_cast<long long>(shards_.size()))];
-  std::lock_guard<std::mutex> guard(shard.mutex);
-  User& entry = shard.users[user];
-  // Admission before classification: an epoch's second report is refused
-  // with the user's state untouched — it neither records a hash nor moves
-  // last_epoch, so the user's NEXT epoch classifies exactly as if the
-  // duplicate had never arrived.
-  if (entry.last_epoch == epoch) {
-    return FrameClass::kDuplicate;
-  }
-  entry.last_epoch = epoch;
-  if (trust_replays) {
-    const std::uint64_t hash =
-        XxHash64(frame.data(), frame.size(), kFrameHashSeed);
-    if (std::find(entry.hashes.begin(), entry.hashes.end(), hash) !=
-        entry.hashes.end()) {
-      return FrameClass::kMemoized;
-    }
-    entry.hashes.push_back(hash);
-  }
-  ++entry.fresh;
-  return FrameClass::kFresh;
-}
-
-UserReplayTable::UserStats UserReplayTable::Scan() const {
-  UserStats stats;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> guard(shard.mutex);
-    stats.users += static_cast<long long>(shard.users.size());
-    for (const auto& [user, entry] : shard.users) {
-      stats.total_fresh += entry.fresh;
-      stats.max_fresh = std::max(stats.max_fresh, entry.fresh);
-    }
-  }
-  return stats;
-}
-
 LongitudinalCollector::LongitudinalCollector(
     const fo::FrequencyOracle& oracle, const LongitudinalOptions& options)
-    : options_(options),
-      collector_(oracle, options.collector),
-      users_(kUserShards) {
+    : options_(options), collector_(oracle, options.collector) {
   window_counts_.assign(oracle.k(), 0);
   if (obs::MetricsRegistry* reg = options.collector.metrics) {
     obs_ = std::make_unique<Obs>();
@@ -135,6 +68,12 @@ LongitudinalCollector::LongitudinalCollector(
         "Fraction of accepted reports recognized as memoized replays");
     obs_->users = reg->GetGauge("ldpr_privacy_users", "",
                                 "Distinct users ever classified");
+    obs_->user_table_users = reg->GetGauge(
+        "ldpr_user_table_users", "",
+        "Users holding a slot in the per-user table (admitted or classified)");
+    obs_->user_table_bytes = reg->GetGauge(
+        "ldpr_user_table_bytes", "",
+        "Per-user table allocation: slots plus overflow pools");
     obs_->window_occupancy = reg->GetGauge(
         "ldpr_window_occupancy", "",
         "Epochs currently inside the sliding estimation window");
@@ -167,12 +106,12 @@ IngestResult LongitudinalCollector::Ingest(const IngestRequest& request) {
         if (!r.user.has_value()) return RejectReason::kNone;
         switch (users_.Classify(*r.user, r.frame, epoch,
                                 options_.memoized_replays_free)) {
-          case UserReplayTable::FrameClass::kDuplicate:
+          case UserTable::FrameClass::kDuplicate:
             return RejectReason::kDuplicate;
-          case UserReplayTable::FrameClass::kMemoized:
+          case UserTable::FrameClass::kMemoized:
             ++tallies.memoized;
             break;
-          case UserReplayTable::FrameClass::kFresh:
+          case UserTable::FrameClass::kFresh:
             break;
         }
         return RejectReason::kNone;
@@ -215,6 +154,7 @@ const EstimateSnapshot& LongitudinalCollector::Seal() {
     epoch_ledger.RecordMemoized(epoch_memoized);
     snapshot.ledger = epoch_ledger.MakeReport();
   }
+  const UserTable::UserStats stats = users_.Scan();
   cumulative_fresh_ += epoch_fresh;
   cumulative_memoized_ += epoch_memoized;
   {
@@ -224,7 +164,6 @@ const EstimateSnapshot& LongitudinalCollector::Seal() {
     cumulative.RecordSmpBulk(0, epsilon, cumulative_fresh_);
     cumulative.RecordMemoized(cumulative_memoized_);
     cumulative_report_ = cumulative.MakeReport();
-    const UserReplayTable::UserStats stats = users_.Scan();
     cumulative_report_.users = stats.users;
     if (stats.users > 0) {
       // Per-user sequential totals over *tracked* users (anonymous ingest
@@ -292,6 +231,10 @@ const EstimateSnapshot& LongitudinalCollector::Seal() {
     obs_->epsilon_mean_user->Set(cumulative_report_.mean_user_epsilon);
     obs_->memoization_hit_rate->Set(cumulative_report_.MemoizationHitRate());
     obs_->users->Set(static_cast<double>(cumulative_report_.users));
+    obs_->user_table_users->Set(static_cast<double>(stats.occupied));
+    obs_->user_table_bytes->Set(static_cast<double>(
+        stats.capacity * static_cast<long long>(UserTable::kSlotBytes) +
+        stats.overflow_bytes));
     obs_->window_occupancy->Set(static_cast<double>(tail_counts_.size()));
   }
   return sealed;

@@ -14,12 +14,14 @@
 //     Counts are integers, so the delta path is bit-identical to
 //     recomputing each window from scratch (serve_longitudinal_test pins
 //     this);
-//   * a sharded per-user replay table: every accepted attributed frame is
-//     hashed and checked against the user's earlier frames. A frame already
-//     seen from that user is a memoized replay of a RAPPOR-style permanent
-//     answer — it still counts toward the estimate (the server cannot tell
-//     a replay apart statistically, only ledger-wise) but is charged
-//     eps = 0;
+//   * the per-user table (serve/admission.h UserTable): every accepted
+//     attributed frame is hashed and checked against the user's earlier
+//     frames. A frame already seen from that user is a memoized replay of a
+//     RAPPOR-style permanent answer — it still counts toward the estimate
+//     (the server cannot tell a replay apart statistically, only
+//     ledger-wise) but is charged eps = 0. A socket server in front of the
+//     collector runs its per-user admission on the same table
+//     (user_table()), so a record touches one user slot;
 //   * the cumulative privacy ledger, rebuilt at every seal through
 //     privacy::Accountant from integer fresh/memoized totals and converted
 //     to eps by one bulk multiply, so the reported budgets are exact and
@@ -37,12 +39,10 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/check.h"
+#include "serve/admission.h"
 #include "serve/collector.h"
 #include "serve/epoch_schedule.h"
 
@@ -111,52 +111,6 @@ struct SnapshotDelta {
 SnapshotDelta DiffSnapshots(const EstimateSnapshot& older,
                             const EstimateSnapshot& newer);
 
-/// Sharded user -> {frame hashes, fresh count, last epoch} map backing the
-/// server-side replay classification and the one-report-per-user-per-epoch
-/// admission check. Thread-safe; shard assignment depends only on the user
-/// id, so tallies are identical under any producer configuration.
-class UserReplayTable {
- public:
-  explicit UserReplayTable(int shards);
-
-  /// What one frame from one user turned out to be.
-  enum class FrameClass : std::uint8_t {
-    kFresh,     ///< new randomization: charged eps, hash recorded
-    kMemoized,  ///< replays a frame this user already sent: charged eps = 0
-    kDuplicate  ///< second report within `epoch`: inadmissible, not recorded
-  };
-
-  /// Classifies one frame from `user` arriving in `epoch`. A user already
-  /// recorded in this epoch classifies kDuplicate and nothing is recorded —
-  /// the caller must not aggregate it. With `trust_replays` false the
-  /// replay (hash) check is skipped and every admitted frame counts fresh
-  /// (no hashes stored); the per-epoch check is independent of it. Epochs
-  /// must be presented non-decreasing per user.
-  FrameClass Classify(long long user, std::span<const std::uint8_t> frame,
-                      long long epoch, bool trust_replays = true);
-
-  struct UserStats {
-    long long users = 0;        ///< distinct users ever classified
-    long long total_fresh = 0;  ///< fresh randomizations across all users
-    long long max_fresh = 0;    ///< worst user's fresh count
-  };
-  /// Cumulative per-user statistics; O(users).
-  UserStats Scan() const;
-
- private:
-  struct User {
-    std::vector<std::uint64_t> hashes;  ///< distinct frames sent, in order
-    long long fresh = 0;
-    long long last_epoch = -1;  ///< newest epoch with an admitted report
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<long long, User> users;
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
-
 /// Epoch/round lifecycle plus cross-epoch state over one Collector:
 /// open -> ingest -> seal -> {epoch snapshot, completed window, ledgers}.
 class LongitudinalCollector final : public IngestSink {
@@ -193,11 +147,10 @@ class LongitudinalCollector final : public IngestSink {
   /// the epoch's and the cumulative LedgerReport, advances the window delta
   /// state, and archives the snapshot. Owner thread only; producers may
   /// keep ingesting (frames that find the epoch closed are kClosedEpoch
-  /// rejects). Cost: O(lanes * k) for the lanes plus an O(users) walk of
-  /// the replay table for the per-user ledger fields
-  /// (UserReplayTable::Scan), regardless of how many reports this epoch
-  /// ingested. The returned reference stays valid until history_cap
-  /// evictions (forever when the cap is 0).
+  /// rejects). Cost: O(lanes * k + shards) — the lanes plus the user
+  /// table's shard counters (UserTable::Scan) — however many users or
+  /// reports there are. The returned reference stays valid until
+  /// history_cap evictions (forever when the cap is 0).
   const EstimateSnapshot& Seal();
 
   /// Sealed epochs, oldest first (bounded by history_cap).
@@ -209,6 +162,9 @@ class LongitudinalCollector final : public IngestSink {
     return cumulative_report_;
   }
 
+  /// The table attributed frames are classified against.
+  UserTable* user_table() override { return &users_; }
+
   const EpochSchedule& schedule() const { return options_.schedule; }
   const LongitudinalOptions& options() const { return options_; }
   const fo::FrequencyOracle& oracle() const { return collector_.oracle(); }
@@ -219,7 +175,7 @@ class LongitudinalCollector final : public IngestSink {
  private:
   LongitudinalOptions options_;
   Collector collector_;
-  UserReplayTable users_;
+  UserTable users_;
   std::deque<EstimateSnapshot> history_;
   std::deque<WindowSnapshot> windows_;
 
@@ -250,6 +206,8 @@ class LongitudinalCollector final : public IngestSink {
     std::shared_ptr<obs::Gauge> epsilon_mean_user;
     std::shared_ptr<obs::Gauge> memoization_hit_rate;
     std::shared_ptr<obs::Gauge> users;
+    std::shared_ptr<obs::Gauge> user_table_users;
+    std::shared_ptr<obs::Gauge> user_table_bytes;
     std::shared_ptr<obs::Gauge> window_occupancy;
   };
   std::unique_ptr<Obs> obs_;

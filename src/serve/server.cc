@@ -151,7 +151,8 @@ class IngestServer::Poller {
 IngestServer::IngestServer(IngestSink& sink, const ServerOptions& options)
     : sink_(sink), options_(options) {
   if (options_.admission.per_user_rate > 0.0) {
-    users_ = std::make_unique<UserAdmissionTable>(options_.admission);
+    users_ = std::make_unique<UserAdmissionTable>(options_.admission,
+                                                  sink_.user_table());
   }
   read_buffer_.resize(kReadChunk);
 }

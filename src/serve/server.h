@@ -16,7 +16,8 @@
 //     excess; nothing already read is dropped;
 //   * per-user token buckets (AdmissionOptions::per_user_rate): a user over
 //     rate has that record rejected kRateLimited before it reaches the
-//     sink;
+//     sink. The buckets live in the sink's UserTable when it has one
+//     (IngestSink::user_table), else in a table the server owns;
 //   * duplicate (user, epoch) rejection: the LongitudinalCollector sink
 //     classifies under the lane mutex and rejects kDuplicate;
 //   * load shedding: an accept at connection capacity drops the

@@ -52,6 +52,7 @@ bool WireSession::Feed(std::span<const std::uint8_t> data, double now) {
     n = buffer_.size();
   }
   std::size_t off = 0;
+  std::size_t prefetched = 0;  // end of the block whose slots were fetched
   while (n - off >= kRecordHeaderBytes) {
     const std::size_t body = (static_cast<std::size_t>(p[off]) << 8) |
                              static_cast<std::size_t>(p[off + 1]);
@@ -62,6 +63,9 @@ bool WireSession::Feed(std::span<const std::uint8_t> data, double now) {
       return false;
     }
     if (n - off < kRecordHeaderBytes + body) break;
+    if (users_ != nullptr && off >= prefetched) {
+      prefetched = off + PrefetchUsers(p + off, n - off);
+    }
     ProcessRecord(p + off + kRecordHeaderBytes, body, now);
     off += kRecordHeaderBytes + body;
   }
@@ -75,6 +79,23 @@ bool WireSession::Feed(std::span<const std::uint8_t> data, double now) {
   // the bucket can cover at least one more record.
   resume_at_ = now + pacing_.DelayUntil(now, 1.0);
   return true;
+}
+
+std::size_t WireSession::PrefetchUsers(const std::uint8_t* p,
+                                      std::size_t n) const {
+  std::size_t off = 0;
+  for (int i = 0; i < kPrefetchRecords && n - off >= kRecordHeaderBytes;
+       ++i) {
+    const std::size_t body = (static_cast<std::size_t>(p[off]) << 8) |
+                             static_cast<std::size_t>(p[off + 1]);
+    if (body < kRecordUserBytes || n - off < kRecordHeaderBytes + body) break;
+    const std::uint64_t user_id = ReadBe64(p + off + kRecordHeaderBytes);
+    if (user_id != kAnonymousUser) {
+      users_->table().Prefetch(static_cast<long long>(user_id));
+    }
+    off += kRecordHeaderBytes + body;
+  }
+  return off;
 }
 
 void WireSession::ProcessRecord(const std::uint8_t* body,

@@ -122,6 +122,16 @@ class WireSession {
   int lane() const { return lane_; }
 
  private:
+  /// Records per prefetch pass: enough slot fetches in flight to hide
+  /// their misses, few enough that the slots stay cached until used.
+  static constexpr int kPrefetchRecords = 128;
+
+  /// Prefetches the user-table slots of the next (up to kPrefetchRecords)
+  /// complete records at `p`; returns the bytes they span. Random slot
+  /// placement gives the table no locality, so one pass ahead of a block
+  /// overlaps its cache misses instead of taking them one record at a
+  /// time. Only sessions with per-user admission run it.
+  std::size_t PrefetchUsers(const std::uint8_t* p, std::size_t n) const;
   void ProcessRecord(const std::uint8_t* body, std::size_t body_size,
                      double now);
 

@@ -189,51 +189,59 @@ TEST_P(BitsliceExactTest, ValidateAcceptsExactlyWhatDecodeIntoAccepts) {
   }
 }
 
-// Aggregator::Accumulate, the scalar fold DecodeInto feeds: counts()/n()
-// read at arbitrary fills match a plain AccumulateSupport walk exactly.
+// SerializeReport -> staged rows -> AccumulateWireBlock, one block per
+// stretch between probe fills: counts()/n() read at each fill match a plain
+// AccumulateSupport walk over the reports themselves.
 TEST_P(BitsliceExactTest, StagedBatchAccumulateMatchesScalarSupport) {
   auto oracle = MakeOracle(protocol(), k(), kEpsilon);
   Rng rng(kSeed ^ 0xBA7C);
   std::vector<Report> reports;
-  reports.reserve(kUsers);
+  std::vector<std::vector<std::uint8_t>> frames;
   for (int i = 0; i < kUsers; ++i) {
     reports.push_back(oracle->Randomize((i * 3 + 1) % k(), rng));
+    frames.push_back(SerializeReport(*oracle, reports.back()));
   }
+  const std::size_t stride =
+      bitslice::RowStride(WireDecoder(*oracle).report_bytes());
 
   // Probe fills: mid-block (1, 64, 200), exactly one block (128), and the
   // final ragged tail (300).
-  const std::vector<int> probes = {1, 64, bitslice::kBlockRows, 200, kUsers};
   std::vector<long long> ref_counts(k(), 0);
   auto agg = oracle->MakeAggregator();
-  for (int i = 0; i < kUsers; ++i) {
-    agg->Accumulate(reports[i]);
-    oracle->AccumulateSupport(reports[i], &ref_counts);
-    if (std::find(probes.begin(), probes.end(), i + 1) != probes.end()) {
-      ASSERT_EQ(agg->counts(), ref_counts) << "after " << i + 1 << " reports";
-      ASSERT_EQ(agg->n(), i + 1);
+  int fed = 0;
+  for (int fill : {1, 64, bitslice::kBlockRows, 200, kUsers}) {
+    const auto staged = StageRows(frames, stride, fed, fill - fed);
+    agg->AccumulateWireBlock(staged.data(), stride, fill - fed);
+    for (; fed < fill; ++fed) {
+      oracle->AccumulateSupport(reports[fed], &ref_counts);
     }
+    ASSERT_EQ(agg->counts(), ref_counts) << "after " << fill << " reports";
+    ASSERT_EQ(agg->n(), fill);
   }
-  EXPECT_EQ(agg->counts(), ref_counts);
   EXPECT_EQ(agg->Estimate(), oracle->EstimateFromCounts(ref_counts, kUsers));
 }
 
-// Merging two Accumulate-fed halves equals the whole stream at any split.
+// Merging two block-fed halves equals the scalar walk at any split.
 TEST_P(BitsliceExactTest, StagedMergeAtNonBlockBoundariesMatchesScalar) {
   auto oracle = MakeOracle(protocol(), k(), kEpsilon);
   Rng rng(kSeed ^ 0x3ED);
-  std::vector<Report> reports;
-  reports.reserve(kUsers);
-  for (int i = 0; i < kUsers; ++i) {
-    reports.push_back(oracle->Randomize((i * i + 7) % k(), rng));
-  }
   std::vector<long long> ref_counts(k(), 0);
-  for (const Report& r : reports) oracle->AccumulateSupport(r, &ref_counts);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int i = 0; i < kUsers; ++i) {
+    const Report r = oracle->Randomize((i * i + 7) % k(), rng);
+    oracle->AccumulateSupport(r, &ref_counts);
+    frames.push_back(SerializeReport(*oracle, r));
+  }
+  const std::size_t stride =
+      bitslice::RowStride(WireDecoder(*oracle).report_bytes());
 
   for (int split : {77, bitslice::kBlockRows, 233}) {
     auto a = oracle->MakeAggregator();
     auto b = oracle->MakeAggregator();
-    for (int i = 0; i < split; ++i) a->Accumulate(reports[i]);
-    for (int i = split; i < kUsers; ++i) b->Accumulate(reports[i]);
+    const auto head = StageRows(frames, stride, 0, split);
+    const auto tail = StageRows(frames, stride, split, kUsers - split);
+    a->AccumulateWireBlock(head.data(), stride, split);
+    b->AccumulateWireBlock(tail.data(), stride, kUsers - split);
     a->Merge(*b);
     EXPECT_EQ(a->counts(), ref_counts) << "split=" << split;
     EXPECT_EQ(a->n(), kUsers) << "split=" << split;

@@ -13,14 +13,18 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "core/hash.h"
 #include "core/rng.h"
 #include "fo/factory.h"
 #include "fo/wire.h"
@@ -103,6 +107,250 @@ TEST(UserAdmissionTableTest, BucketsArePerUser) {
   EXPECT_TRUE(table.Admit(-3, 0.0));  // negative ids shard correctly
   EXPECT_TRUE(table.Admit(7, 1.0));   // one token back after 1 s
   EXPECT_EQ(table.users(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// The per-user table against the per-user maps it replaced
+// ---------------------------------------------------------------------------
+
+// The unordered_map replay table and per-user TokenBucket map the flat
+// UserTable replaced, kept verbatim in logic as the reference its verdicts
+// and statistics must match.
+class ReferenceUserMaps {
+ public:
+  using FrameClass = UserTable::FrameClass;
+
+  ReferenceUserMaps(double rate, double burst) : rate_(rate), burst_(burst) {}
+
+  bool Admit(long long user, double now) {
+    Bucket& bucket = buckets_.try_emplace(user, Bucket{burst_, now}).first->second;
+    if (now > bucket.last) {
+      const double refilled = bucket.tokens + (now - bucket.last) * rate_;
+      bucket.tokens = refilled < burst_ ? refilled : burst_;
+      bucket.last = now;
+    }
+    if (bucket.tokens < 1.0) return false;
+    bucket.tokens -= 1.0;
+    return true;
+  }
+
+  FrameClass Classify(long long user, std::span<const std::uint8_t> frame,
+                      long long epoch, bool trust_replays) {
+    User& entry = users_[user];
+    if (entry.last_epoch == epoch) return FrameClass::kDuplicate;
+    entry.last_epoch = epoch;
+    if (trust_replays) {
+      const std::uint64_t hash = XxHash64(frame.data(), frame.size(), 0x1d9);
+      if (std::find(entry.hashes.begin(), entry.hashes.end(), hash) !=
+          entry.hashes.end()) {
+        return FrameClass::kMemoized;
+      }
+      entry.hashes.push_back(hash);
+    }
+    ++entry.fresh;
+    return FrameClass::kFresh;
+  }
+
+  UserTable::UserStats Scan() const {
+    UserTable::UserStats stats;
+    stats.users = static_cast<long long>(users_.size());
+    for (const auto& [user, entry] : users_) {
+      stats.total_fresh += entry.fresh;
+      stats.max_fresh = std::max(stats.max_fresh, entry.fresh);
+    }
+    return stats;
+  }
+
+  long long admitted_users() const {
+    return static_cast<long long>(buckets_.size());
+  }
+
+ private:
+  struct Bucket {
+    double tokens;
+    double last;
+  };
+  struct User {
+    std::vector<std::uint64_t> hashes;
+    long long fresh = 0;
+    long long last_epoch = -1;
+  };
+  double rate_;
+  double burst_;
+  std::unordered_map<long long, Bucket> buckets_;
+  std::unordered_map<long long, User> users_;
+};
+
+// A seeded stream of admissions and classifications over many epochs:
+// clocks that jump backwards, users with more distinct frames than a slot
+// holds inline, the extreme user ids, and enough users to regrow a
+// one-shard table many times. trust mode 2 mixes trusted and untrusted
+// calls.
+TEST(UserTableTest, VerdictsAndStatsMatchTheReferenceMaps) {
+  using FrameClass = UserTable::FrameClass;
+  const long long kExtremes[] = {0, -1, LLONG_MIN, LLONG_MAX};
+  for (const int shards : {1, 64}) {
+    for (const int trust_mode : {0, 1, 2}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shards " << shards << " trust mode " << trust_mode);
+      AdmissionOptions admission;
+      admission.per_user_rate = 2.0;
+      admission.per_user_burst = 3.0;
+      UserTable table(shards);
+      UserAdmissionTable admit(admission, &table);
+      ReferenceUserMaps reference(admission.per_user_rate,
+                                  admission.per_user_burst);
+      Rng rng(977 + static_cast<std::uint64_t>(shards * 3 + trust_mode));
+      std::vector<long long> ids(kExtremes, kExtremes + 4);
+      for (int i = 0; i < 3000; ++i) {
+        ids.push_back(i % 2 == 0 ? i
+                                 : static_cast<long long>(rng.UniformInt(~0ull)));
+      }
+      long long classified = 0;
+      for (long long epoch = 0; epoch < 12; ++epoch) {
+        for (int op = 0; op < 4000; ++op) {
+          // Extreme ids and a hot head of users recur in every epoch.
+          const std::size_t pick =
+              op < 8 ? static_cast<std::size_t>(op % 4)
+                     : static_cast<std::size_t>(rng.UniformInt(
+                           rng.UniformInt(4) == 0
+                               ? 40
+                               : static_cast<long long>(ids.size())));
+          const long long user = ids[pick];
+          // Up to 6 distinct one-byte frames per user: past the inline two.
+          const std::uint8_t frame[] = {
+              static_cast<std::uint8_t>(rng.UniformInt(6))};
+          const double now = static_cast<double>(epoch) +
+                             rng.UniformReal() * 2.5 - 1.5;
+          const bool admitted = admit.Admit(user, now);
+          ASSERT_EQ(admitted, reference.Admit(user, now))
+              << "user " << user << " epoch " << epoch;
+          if (!admitted && rng.UniformInt(2) == 0) continue;
+          const bool trust = trust_mode == 2 ? rng.UniformInt(2) == 0
+                                             : trust_mode == 1;
+          const FrameClass got = table.Classify(user, frame, epoch, trust);
+          ASSERT_EQ(got, reference.Classify(user, frame, epoch, trust))
+              << "user " << user << " epoch " << epoch;
+          ++classified;
+        }
+        const UserTable::UserStats got = table.Scan();
+        const UserTable::UserStats want = reference.Scan();
+        EXPECT_EQ(got.users, want.users);
+        EXPECT_EQ(got.total_fresh, want.total_fresh);
+        EXPECT_EQ(got.max_fresh, want.max_fresh);
+        EXPECT_EQ(admit.users(), reference.admitted_users());
+      }
+      EXPECT_GT(classified, 0);
+      const UserTable::UserStats stats = table.Scan();
+      if (shards == 1) {
+        // 16 slots to start: 2^5 x that is five rehashes.
+        EXPECT_GE(stats.capacity, 16 << 5);
+      }
+      if (trust_mode != 0) {
+        EXPECT_GT(stats.overflow_bytes, 0);
+      }
+    }
+  }
+}
+
+// Admission and classification share the sink's table through the server
+// path: every user gets one slot, but the ledger counts only users whose
+// frames reached classification — not one whose records were all
+// rate-limited, malformed or closed-epoch rejects.
+TEST(UserTableTest, SharedTableLedgerCountsClassifiedUsersOnly) {
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 16, 1.0);
+  LongitudinalCollector collector(*oracle, {});
+  ASSERT_NE(collector.user_table(), nullptr);
+  AdmissionOptions admission;
+  admission.per_user_rate = 1.0;
+  admission.per_user_burst = 1.0;
+  UserAdmissionTable users(admission, collector.user_table());
+  WireSession session(collector, &users, {}, 0, 0.0);
+
+  Rng rng(31);
+  const std::vector<std::uint8_t> frame =
+      fo::SerializeReport(*oracle, oracle->Randomize(3, rng));
+  const std::vector<std::uint8_t> malformed(frame.begin(), frame.end() - 1);
+  const auto feed = [&](std::uint64_t user,
+                        const std::vector<std::uint8_t>& bytes) {
+    std::vector<std::uint8_t> wire;
+    AppendWireRecord(user, bytes, wire);
+    ASSERT_TRUE(session.Feed(wire, 0.0));
+  };
+  feed(5, frame);  // no epoch open: closed-epoch reject
+  collector.OpenEpoch();
+  feed(5, frame);       // bucket spent: rate-limited
+  feed(6, malformed);   // malformed
+  feed(7, frame);       // accepted
+  feed(7, frame);       // rate-limited
+  feed(kAnonymousUser, frame);
+  EXPECT_EQ(session.counters().ingest.closed_epoch, 1);
+  EXPECT_EQ(session.counters().ingest.rate_limited, 2);
+  EXPECT_EQ(session.counters().ingest.rejected, 1);
+  EXPECT_EQ(session.counters().ingest.reports, 2);
+
+  const EstimateSnapshot& sealed = collector.Seal();
+  EXPECT_EQ(sealed.n, 2);
+  EXPECT_EQ(sealed.cumulative_ledger.users, 1);
+  EXPECT_DOUBLE_EQ(sealed.cumulative_ledger.mean_user_epsilon, 1.0);
+  EXPECT_DOUBLE_EQ(sealed.cumulative_ledger.max_user_epsilon, 1.0);
+  const UserTable::UserStats stats = collector.user_table()->Scan();
+  EXPECT_EQ(stats.users, 1);
+  EXPECT_EQ(stats.occupied, 3);
+  EXPECT_EQ(users.users(), 3);
+}
+
+// Admission (server sessions, with their prefetch passes) and in-process
+// classification running at once on one table while it regrows. Exact
+// totals, and TSan-clean.
+TEST(UserTableTest, ConcurrentAdmissionAndClassificationOnOneTable) {
+  const long long n = 4000;
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 16, 1.0);
+  LongitudinalOptions options;
+  options.collector.lanes = 3;
+  LongitudinalCollector collector(*oracle, options);
+  AdmissionOptions admission;
+  admission.per_user_rate = 1e9;
+  admission.per_user_burst = 1e9;
+  UserAdmissionTable users(admission, collector.user_table());
+  Rng rng(57);
+  const std::vector<std::uint8_t> frame =
+      fo::SerializeReport(*oracle, oracle->Randomize(9, rng));
+  collector.OpenEpoch();
+
+  // Session 0 sends users [0, n), session 1 users [n/2, 3n/2); the
+  // in-process producer ingests [n, 2n) unadmitted. Every user in an
+  // overlap sends twice in the epoch: one report, one duplicate.
+  std::vector<std::thread> producers;
+  for (int s = 0; s < 2; ++s) {
+    producers.emplace_back([&, s] {
+      std::vector<std::uint8_t> wire;
+      for (long long u = s * n / 2; u < s * n / 2 + n; ++u) {
+        AppendWireRecord(static_cast<std::uint64_t>(u), frame, wire);
+      }
+      WireSession session(collector, &users, {}, s, 0.0);
+      for (std::size_t off = 0; off < wire.size(); off += 4096) {
+        const std::size_t len = std::min<std::size_t>(4096, wire.size() - off);
+        ASSERT_TRUE(session.Feed({wire.data() + off, len}, 0.0));
+      }
+    });
+  }
+  producers.emplace_back([&] {
+    for (long long u = n; u < 2 * n; ++u) {
+      collector.Ingest({frame, u, 2});
+    }
+  });
+  for (std::thread& t : producers) t.join();
+
+  const EstimateSnapshot& sealed = collector.Seal();
+  EXPECT_EQ(sealed.stats.reports, 2 * n);
+  EXPECT_EQ(sealed.stats.duplicates, n);
+  EXPECT_EQ(sealed.cumulative_ledger.users, 2 * n);
+  EXPECT_EQ(sealed.ledger.fresh, 2 * n);
+  const UserTable::UserStats stats = collector.user_table()->Scan();
+  EXPECT_EQ(stats.occupied, 2 * n);
+  EXPECT_EQ(stats.total_fresh, 2 * n);
+  EXPECT_EQ(stats.max_fresh, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -585,6 +833,15 @@ TEST(AdminEndpointTest, ScrapedCountersMatchSealedSnapshotExactly) {
       HttpGetOverUds(server_options.admin_uds_path, "/metrics"));
   EXPECT_EQ(SeriesValue(sealed_body, "ldpr_decode_block_rows_sum"),
             snapshot.stats.reports);
+  // The user-table gauges, set at the seal from the shard counters.
+  const UserTable::UserStats table = collector.user_table()->Scan();
+  EXPECT_EQ(SeriesValue(sealed_body, "ldpr_user_table_users"),
+            snapshot.cumulative_ledger.users);
+  EXPECT_GT(snapshot.cumulative_ledger.users, 0);
+  EXPECT_EQ(SeriesValue(sealed_body, "ldpr_user_table_bytes"),
+            table.capacity * static_cast<long long>(UserTable::kSlotBytes) +
+                table.overflow_bytes);
+  EXPECT_GE(table.capacity, table.occupied);
 
   // The other admin routes: JSON snapshot, 404, and non-GET.
   const std::string json =
