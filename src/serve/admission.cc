@@ -95,8 +95,8 @@ UserTable::Shard& UserTable::ShardOf(std::uint64_t place) const {
 UserTable::Slot& UserTable::Locate(Shard& shard, long long user,
                                    std::uint64_t place) {
   for (;;) {
-    const std::size_t mask = shard.slots.size() - 1;
     if (!shard.slots.empty()) {
+      const std::size_t mask = shard.slots.size() - 1;
       for (std::size_t i = place & mask;; i = (i + 1) & mask) {
         Slot& slot = shard.slots[i];
         if (slot.flags == 0) {
